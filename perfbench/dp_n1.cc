@@ -336,7 +336,8 @@ Pass DpN1::RunPass(Spans* spans) {
   FillLayersFromRegistry(reg, ops, &pass);
   if (traced) {
     reg.CollectProfile(profiler);
-    FillLedgerFromProfile(reg, busy, ops, nullptr, &pass);
+    FillLedgerFromProfile(reg, result.cycles, sched.stats().idle_cycles, ops,
+                          /*smp_defects=*/false, &pass);
     // Crossing overhead per protected filter call (the batch entry point
     // classifies up to 32 frames per call).
     sim.Set("core.kext.crossing_cycles_per_call",

@@ -191,13 +191,17 @@ void SetLatencies(const std::vector<u64>& cycles, MetricSet* sim);
 void FillLayersFromRegistry(const palladium::obs::MetricsRegistry& reg, u64 ops, Pass* pass);
 
 // The CycleProfile ledger of a traced run (the registry's obs.profile.*
-// counters), per op, into pass->sim. Checks that the categories sum exactly
-// to the profiled total, and that the non-idle part equals `busy_cycles`
-// (obs::BusyCycles of the run); the difference is reported as
-// sim.ledger_gap_cycles_per_op. `gap_defect`, when set, names the known
-// defect behind a nonzero gap: the mismatch is then a known failure.
-void FillLedgerFromProfile(const palladium::obs::MetricsRegistry& reg, u64 busy_cycles,
-                           u64 ops, const char* gap_defect, Pass* pass);
+// counters), per op, into pass->sim. The run lasted `wall_cycles` and the
+// scheduler counted `sched_idle` cycles idle, so its busy cycles are
+// obs::BusyCycles(vCPUs, wall_cycles, sched_idle). Checks that the
+// categories sum exactly to the profiled total, that the profile covers
+// exactly the cycles each vCPU's clock ran (the registry's cpu<N>.cycles),
+// and that its non-idle part equals the busy cycles; the difference is
+// reported as sim.ledger_gap_cycles_per_op. With `smp_defects` a gap made
+// only of the two known SMP accounting defects (harness.cc) is a known
+// failure; any other mismatch fails the pass.
+void FillLedgerFromProfile(const palladium::obs::MetricsRegistry& reg, u64 wall_cycles,
+                           u64 sched_idle, u64 ops, bool smp_defects, Pass* pass);
 
 }  // namespace perfbench
 

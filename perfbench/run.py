@@ -65,8 +65,6 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="multiply the workload size (reduced-size checks)")
     args = parser.parse_args()
 
     if not os.path.isfile(os.path.join(ROOT, "src", "kernel", "kernel.h")):
@@ -82,7 +80,7 @@ def main():
     stem = os.path.join(results, f"{args.workload}-seed{args.seed}-trace{args.trace}")
     cmd = [BINARY, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", str(args.trace),
-           "--scale", repr(args.scale), "--results", stem + ".json"]
+           "--results", stem + ".json"]
     if args.trace:
         cmd += ["--spans", stem + "-spans.jsonl"]
     sys.stdout.flush()

@@ -79,8 +79,7 @@ def check_workload(binary, spec, workload, out_dir):
         for name, m in last.get("metrics", {}).items():
             expect(m.get("unit") == units.get(name), f"{name} has unit {m.get('unit')}")
         if trace == 0:
-            for name in ("sim_cycles_per_op", "sim_latency_p50_us", "sim_latency_p99_us",
-                         "host_ops_per_s", "setup_s", "peak_rss_mb"):
+            for name in names:
                 expect(last["metrics"].get(name, {}).get("value", 0) > 0, f"{name} is not > 0")
 
     a, b, c = runs["a"], runs["b"], runs["c"]

@@ -12,8 +12,11 @@
 // A mark syscall brackets each call. At every mark the host takes the
 // simulated cycle and TLB-miss counters, loads the next string, and checks
 // the buffer: after the protected call it must hold the host reverse of the
-// string, and after the raw call the original string again.
+// string, and after the raw call the original string again. In the traced
+// pass it also snapshots the CycleProfile's categories, so the ledger is
+// the profile's own attribution of the protected calls.
 #include <algorithm>
+#include <array>
 
 #include "harness.h"
 #include "src/asm/assembler.h"
@@ -265,11 +268,28 @@ Pass UextCalls::RunPass(Spans* spans) {
     }
   }
 
+  obs::CycleProfile profiler;
+  obs::FlightRecorder recorder;
+  // The profile's categories at a mark. Flushing the open span into its own
+  // category moves no cycles; it only makes the buckets current.
+  using Buckets = std::array<u64, obs::kNumCategories>;
+  auto snapshot = [&](u64 now, u64 misses) {
+    Buckets b{};
+    profiler.Set(0, now, misses, profiler.Current(0));
+    for (u32 c = 0; c < obs::kNumCategories; ++c) {
+      b[c] = profiler.bucket(0, static_cast<obs::Category>(c));
+    }
+    return b;
+  };
+  // Per category, the protected calls' cycles net of the mark overhead.
+  std::array<i64, obs::kNumCategories> ledger{};
+  Buckets prot_begin_b{}, prot_end_b{};
+
   // Mark-syscall state: per call the protected (P) and raw (U) cycles net
-  // of the mark overhead, and the TLB misses inside each.
-  std::vector<u64> prot(n), raw(n), prot_misses(n), raw_misses(n);
+  // of the mark overhead.
+  std::vector<u64> prot(n), raw(n);
   u32 buffer = 0, next = 0;
-  u64 begin_cycles = 0, begin_misses = 0, prot_end = 0, wrong = 0;
+  u64 begin_cycles = 0, prot_end = 0, wrong = 0;
   i64 handle = 0;
   std::string first_wrong;
   int call_span = -1, dlopen_span = -1;
@@ -313,13 +333,13 @@ Pass UextCalls::RunPass(Spans* spans) {
           fail("cannot load call " + std::to_string(next) + "'s string");
         }
         begin_cycles = now;
-        begin_misses = misses;
+        if (traced) prot_begin_b = snapshot(now, misses);
         break;
       }
       case kMarkProtEnd: {
         prot[next] = now - begin_cycles;
-        prot_misses[next] = misses - begin_misses;
         prot_end = now;
+        if (traced) prot_end_b = snapshot(now, misses);
         const Call& c = calls[next];
         const u8* s = inputs_.pool.data() + c.offset;
         expect.assign(s, s + c.size);
@@ -336,13 +356,18 @@ Pass UextCalls::RunPass(Spans* spans) {
         const u64 overhead = now - prot_end;
         prot[next] -= std::min(prot[next], overhead);
         begin_cycles = now;
-        begin_misses = misses;
+        if (traced) {
+          const Buckets b = snapshot(now, misses);
+          for (u32 c = 0; c < obs::kNumCategories; ++c) {
+            ledger[c] += static_cast<i64>(prot_end_b[c] - prot_begin_b[c]) -
+                         static_cast<i64>(b[c] - prot_end_b[c]);
+          }
+        }
         break;
       }
       case kMarkRawEnd: {
         const u64 overhead = begin_cycles - prot_end;
         raw[next] = (now - begin_cycles) - std::min(now - begin_cycles, overhead);
-        raw_misses[next] = misses - begin_misses;
         const Call& c = calls[next];
         const u8* s = inputs_.pool.data() + c.offset;
         if (!read_buffer(k, c.size) || !std::equal(got.begin(), got.end(), s)) {
@@ -360,8 +385,6 @@ Pass UextCalls::RunPass(Spans* spans) {
     k.ReturnFromGate(ret);
   });
 
-  obs::CycleProfile profiler;
-  obs::FlightRecorder recorder;
   if (traced) {
     recorder.Reset(1);
     profiler.Reset(1, machine.cpu(0).cycle_model().tlb_miss_penalty);
@@ -393,13 +416,10 @@ Pass UextCalls::RunPass(Spans* spans) {
   pass.failed = std::min<u64>(n, wrong + (n - next));
   pass.completed = n - pass.failed;
 
-  const u32 penalty = machine.cpu(0).cycle_model().tlb_miss_penalty;
-  u64 sum_prot = 0, sum_raw = 0, tlb_prot = 0, tlb_raw = 0;
+  u64 sum_prot = 0, sum_raw = 0;
   for (u32 i = 0; i < next; ++i) {
     sum_prot += prot[i];
     sum_raw += raw[i];
-    tlb_prot += prot_misses[i] * penalty;
-    tlb_raw += raw_misses[i] * penalty;
   }
   const double calls_done = std::max<u32>(1, next);
   MetricSet& sim = pass.sim;
@@ -408,20 +428,6 @@ Pass UextCalls::RunPass(Spans* spans) {
   SetLatencies(prot, &sim);
   sim.Set("op_fail_ratio", static_cast<double>(pass.failed) / static_cast<double>(n), "ratio");
 
-  // The call ledger: TLB-miss cycles of the protected call, the body (the
-  // raw call net of its TLB misses) and the crossing (everything else).
-  // The parts sum to the protected cycles exactly.
-  const i64 body = static_cast<i64>(sum_raw) - static_cast<i64>(tlb_raw);
-  const i64 crossing = static_cast<i64>(sum_prot) - static_cast<i64>(tlb_prot) - body;
-  pass.Check(body >= 0 && crossing >= 0, "call ledger has a negative part");
-  sim.Set("sim.user_cycles_per_op", 0, "cycles");
-  sim.Set("sim.kernel_cycles_per_op", 0, "cycles");
-  sim.Set("sim.filter_body_cycles_per_op", static_cast<double>(body) / calls_done, "cycles");
-  sim.Set("sim.crossing_cycles_per_op", static_cast<double>(crossing) / calls_done, "cycles");
-  sim.Set("sim.irq_cycles_per_op", 0, "cycles");
-  sim.Set("sim.tlb_miss_cycles_per_op", static_cast<double>(tlb_prot) / calls_done, "cycles");
-  sim.Set("sim.idle_cycles_per_op", 0, "cycles");
-  sim.Set("sim.ledger_gap_cycles_per_op", 0, "cycles");
   sim.Set("core.uext.crossing_cycles",
           (static_cast<double>(sum_prot) - static_cast<double>(sum_raw)) / calls_done, "cycles");
 
@@ -454,6 +460,30 @@ Pass UextCalls::RunPass(Spans* spans) {
     pass.Check(sum == profiler.TotalAll() && sum == ran,
                "profile: categories sum to " + std::to_string(sum) + " cycles, run took " +
                    std::to_string(ran));
+    // The ledger of the protected calls, from the profile's deltas between
+    // the marks. Its non-idle parts must sum exactly to the protected
+    // cycles, and one process never idles. The profile books a user-level
+    // extension call as user code: only kernel-extension calls have
+    // crossing and filter-body hooks, so core.uext.crossing_cycles (from the
+    // marks) carries the protection cost here.
+    static const char* const kLedgerNames[obs::kNumCategories] = {
+        "sim.user_cycles_per_op",     "sim.kernel_cycles_per_op", "sim.filter_body_cycles_per_op",
+        "sim.crossing_cycles_per_op", "sim.irq_cycles_per_op",    "sim.tlb_miss_cycles_per_op",
+        "sim.idle_cycles_per_op"};
+    i64 ledger_busy = 0;
+    for (u32 c = 0; c < obs::kNumCategories; ++c) {
+      pass.Check(ledger[c] >= 0, std::string("ledger: ") + kLedgerNames[c] + " is negative");
+      if (static_cast<obs::Category>(c) != obs::Category::kIdle) ledger_busy += ledger[c];
+      sim.Set(kLedgerNames[c], static_cast<double>(ledger[c]) / calls_done, "cycles");
+    }
+    pass.Check(ledger[static_cast<u32>(obs::Category::kIdle)] == 0,
+               "ledger: a single process idled inside its calls");
+    pass.Check(ledger_busy == static_cast<i64>(sum_prot),
+               "ledger: non-idle categories sum to " + std::to_string(ledger_busy) +
+                   " cycles, the protected calls took " + std::to_string(sum_prot));
+    sim.Set("sim.ledger_gap_cycles_per_op",
+            (static_cast<double>(sum_prot) - static_cast<double>(ledger_busy)) / calls_done,
+            "cycles");
     pass.layer.Set("asm.assemble_s", spans->Self("asm.assemble"), "s");
     pass.layer.Set("core.uext.seg_dlopen_s", spans->Self("core.uext.seg_dlopen"), "s");
   }

@@ -140,15 +140,9 @@ Pass WebSoakSmp4::RunPass(Spans* spans) {
 
   FillLayersFromRegistry(reg, ops, &pass);
   if (traced) {
-    // Scheduler::Dispatch snaps a lagging vCPU's clock forward to the
-    // enqueue stamp of the process it picks up. The CycleProfile books
-    // that span as idle; Scheduler::Stats::idle_cycles does not, so
-    // obs::BusyCycles counts it as busy and the ledger cannot close on
-    // SMP until the scheduler counts it.
-    FillLedgerFromProfile(reg, busy, ops,
-                          "known defect: Scheduler::Stats::idle_cycles omits the dispatch "
-                          "clock snap that the CycleProfile books as idle",
-                          &pass);
+    // Two known SMP accounting defects keep the ledger from closing on 4
+    // vCPUs (see FillLedgerFromProfile); only they are tolerated.
+    FillLedgerFromProfile(reg, r.cycles, r.idle_cycles, ops, /*smp_defects=*/true, &pass);
     sim.Set("core.kext.crossing_cycles_per_call",
             r.filter_invocations > 0
                 ? static_cast<double>(profiler.BucketTotal(obs::Category::kCrossing)) /

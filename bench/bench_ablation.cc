@@ -1,4 +1,6 @@
-// Ablations for the design decisions DESIGN.md calls out:
+// Ablations for the paper's design decisions (README.md lists this bench
+// under "Build and test"; its full-workload counterpart is bench_protection,
+// README "Protection ablation: Palladium vs unprotected vs SFI vs BPF"):
 //   1. SFI baseline (Section 2.1): per-instruction sandboxing overhead on
 //      memory-light vs memory-heavy kernels, write-only vs read-write.
 //   2. The rejected TSS-update design for Prepare (Section 4.5.1): saving

@@ -6,16 +6,13 @@
 // The simulator throughput benches run the same workload under each
 // execution engine so speedups are measured in-binary, paired, on the same
 // machine:
-//   trace   hot-trace tier (micro-op IR with lazy flags, pinned
-//           translations, constant folding) on top of the superblock
-//           engine — the default configuration
 //   block   superblock engine (decoded basic-block runs, threaded dispatch,
-//           block chaining) + D-TLB, trace tier off (PALLADIUM_NO_TRACE=1)
+//           block chaining) + D-TLB — the default configuration
 //   insn    PR 2 per-instruction fast path (decode cache + D-TLB,
 //           dispatched one instruction at a time; PALLADIUM_NO_BLOCKS=1)
 //   oracle  everything off: per-byte fetch + per-byte data path
-// All four appear in one BENCH_simspeed.json; `--engine
-// {trace,block,insn,oracle}` restricts the run to a single engine.
+// All three appear in one BENCH_simspeed.json; `--engine
+// {block,insn,oracle}` restricts the run to a single engine.
 // Architectural results are identical across engines — only the wall-clock
 // rate moves.
 // The SMP rows (`BM_Smp{Alu,Mem}_nN_{interleaved,threaded}`) measure the
@@ -45,33 +42,24 @@
 namespace palladium {
 namespace {
 
-enum class Engine { kTrace, kBlock, kInsn, kOracle };
+enum class Engine { kBlock, kInsn, kOracle };
 
 void ConfigureEngine(Cpu& cpu, Engine engine) {
   switch (engine) {
-    case Engine::kTrace:
-      cpu.set_block_engine_enabled(true);
-      cpu.set_decode_cache_enabled(true);
-      cpu.set_dtlb_enabled(true);
-      cpu.set_trace_engine_enabled(true);
-      break;
     case Engine::kBlock:
       cpu.set_block_engine_enabled(true);
       cpu.set_decode_cache_enabled(true);
       cpu.set_dtlb_enabled(true);
-      cpu.set_trace_engine_enabled(false);
       break;
     case Engine::kInsn:
       cpu.set_block_engine_enabled(false);
       cpu.set_decode_cache_enabled(true);
       cpu.set_dtlb_enabled(true);
-      cpu.set_trace_engine_enabled(false);
       break;
     case Engine::kOracle:
       cpu.set_block_engine_enabled(false);
       cpu.set_decode_cache_enabled(false);
       cpu.set_dtlb_enabled(false);
-      cpu.set_trace_engine_enabled(false);
       break;
   }
 }
@@ -139,20 +127,10 @@ void RunThroughput(benchmark::State& state, const char* workload, Engine engine)
       benchmark::Counter(static_cast<double>(insns), benchmark::Counter::kIsRate);
   state.counters["sim_mips"] = benchmark::Counter(
       static_cast<double>(insns) / 1e6, benchmark::Counter::kIsRate);
-  if (engine == Engine::kBlock || engine == Engine::kTrace) {
+  if (engine == Engine::kBlock) {
     const auto& bs = bm.cpu().block_stats();
     state.counters["block_chains"] = benchmark::Counter(static_cast<double>(bs.chains));
     state.counters["block_entries"] = benchmark::Counter(static_cast<double>(bs.entries));
-  }
-  if (engine == Engine::kTrace) {
-    const auto& ts = bm.cpu().trace_stats();
-    state.counters["trace_promotions"] = benchmark::Counter(static_cast<double>(ts.promotions));
-    state.counters["trace_entries"] = benchmark::Counter(static_cast<double>(ts.entries));
-    state.counters["trace_uop_insns"] = benchmark::Counter(static_cast<double>(ts.uop_insns));
-    state.counters["trace_flag_materializations"] =
-        benchmark::Counter(static_cast<double>(ts.flag_materializations));
-    state.counters["trace_probes_elided"] =
-        benchmark::Counter(static_cast<double>(ts.probes_elided));
   }
 }
 
@@ -226,7 +204,7 @@ void RunSmpThroughput(benchmark::State& state, bool mem_workload, u32 n, bool th
   Machine& m = bm.machine();
   std::vector<u32> entries(n);
   for (u32 c = 0; c < n; ++c) {
-    ConfigureEngine(m.cpu(c), Engine::kTrace);  // the default configuration
+    ConfigureEngine(m.cpu(c), Engine::kBlock);  // the default configuration
     const std::string src =
         mem_workload ? SmpMemWorkload(c, kIterations) : SmpAluWorkload(c, kIterations);
     std::string diag;
@@ -306,7 +284,6 @@ struct EngineSpec {
   const char* name;
 };
 constexpr EngineSpec kEngines[] = {
-    {Engine::kTrace, "trace"},
     {Engine::kBlock, "block"},
     {Engine::kInsn, "insn"},
     {Engine::kOracle, "oracle"},
@@ -357,8 +334,8 @@ void RegisterSimBenches(const std::string& engine_filter) {
 }  // namespace palladium
 
 // Custom main: like BENCHMARK_MAIN(), but (a) strips the repo's own
-// --engine {trace,block,insn,oracle} flag, which restricts the simulator
-// throughput benches to one engine (default: all four, reported in one
+// --engine {block,insn,oracle} flag, which restricts the simulator
+// throughput benches to one engine (default: all three, reported in one
 // JSON), and (b) defaults --benchmark_out to BENCH_simspeed.json in JSON
 // format (BENCH_JSON_DIR overrides the directory) so this binary emits
 // machine-readable results like every other bench_*. An explicit
@@ -380,9 +357,9 @@ int main(int argc, char** argv) {
     if (i > 0 && arg.rfind("--benchmark_out=", 0) == 0) has_out = true;
     args.push_back(argv[i]);
   }
-  if (!engine_filter.empty() && engine_filter != "trace" && engine_filter != "block" &&
-      engine_filter != "insn" && engine_filter != "oracle") {
-    fprintf(stderr, "--engine must be one of trace, block, insn, oracle (got '%s')\n",
+  if (!engine_filter.empty() && engine_filter != "block" && engine_filter != "insn" &&
+      engine_filter != "oracle") {
+    fprintf(stderr, "--engine must be one of block, insn, oracle (got '%s')\n",
             engine_filter.c_str());
     return 1;
   }

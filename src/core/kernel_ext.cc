@@ -193,9 +193,9 @@ void KernelExtensionManager::UnloadExtension(u32 ext_id) {
     }
   }
   // Unmap and free every page of the segment. UnmapKernelPage evicts each
-  // frame from every vCPU's decode cache (and trace tier) and the kernel-
-  // range PTE shootdown flushes all TLBs/D-TLBs, so no stale translation of
-  // the dead image survives a reload at the same linear base.
+  // frame from every vCPU's decode cache and the kernel-range PTE shootdown
+  // flushes all TLBs/D-TLBs, so no stale translation of the dead image
+  // survives a reload at the same linear base.
   for (u32 off = 0; off < ext.span; off += kPageSize) {
     kernel_.UnmapKernelPage(ext.linear_base + off);
   }
@@ -267,8 +267,7 @@ KernelExtensionManager::InvokeResult KernelExtensionManager::Invoke(u32 function
   const obs::Category prev_cat = kernel_.ProfileSet(obs::Category::kCrossing);
   obs::FlightRecorder* rec = kernel_.recorder();
   if (rec != nullptr) {
-    rec->Record(obs_cpu, cpu.cycles(), obs::EventType::kCrossingEnter,
-                obs::EventClass::kArch, function_id, arg);
+    rec->Record(obs_cpu, cpu.cycles(), obs::EventType::kCrossingEnter, function_id, arg);
   }
 
   // Ensure a kernel-capable address space and a safe inner PL0 stack for the
@@ -291,7 +290,7 @@ KernelExtensionManager::InvokeResult KernelExtensionManager::Invoke(u32 function
     cpu.tss() = saved_tss;
     if (rec != nullptr) {
       rec->Record(obs_cpu, cpu.cycles(), obs::EventType::kCrossingExit,
-                  obs::EventClass::kArch, function_id, result.ok ? 1u : 0u);
+                  function_id, result.ok ? 1u : 0u);
     }
     kernel_.ProfileRestore(prev_cat);
   };

@@ -76,7 +76,6 @@ Cpu::Cpu(PhysicalMemory& pm, DescriptorTable& gdt, DescriptorTable& idt, CycleMo
   // paths without code changes (outputs must be byte-identical).
   if (std::getenv("PALLADIUM_NO_DTLB") != nullptr) dtlb_enabled_ = false;
   if (std::getenv("PALLADIUM_NO_BLOCKS") != nullptr) block_engine_enabled_ = false;
-  if (std::getenv("PALLADIUM_NO_TRACE") != nullptr) trace_engine_enabled_ = false;
   dcache_.set_cost_table(&cost_);
   RebuildCostTable();
 }
@@ -891,7 +890,7 @@ StopInfo Cpu::Run(u64 cycle_limit) {
         }
         if (recorder_ != nullptr) {
           recorder_->Record(obs_track_, cycles_, obs::EventType::kIrqDeliver,
-                            obs::EventClass::kArch, static_cast<u32>(vec), cpl_);
+                            static_cast<u32>(vec), cpl_);
         }
         if (profiler_ != nullptr) {
           profiler_->Set(obs_track_, cycles_, tlb_.stats().misses,
@@ -1361,7 +1360,7 @@ __attribute__((flatten)) Cpu::BlockExit Cpu::RunBlock(u64 cycle_limit, StopInfo*
     fetch_dcache_gen_ = dcache_.generation();
   }
 
-  DecodeCache::Page* const page = fetch_page_;
+  const DecodeCache::Page* const page = fetch_page_;
   const u64 gen0 = dcache_.generation();
   const u32 limit = cs.cache.limit;
   // The frontier no interior retire boundary may cross. The IRQ hub's
@@ -1378,7 +1377,7 @@ __attribute__((flatten)) Cpu::BlockExit Cpu::RunBlock(u64 cycle_limit, StopInfo*
   ++block_stats_.entries;
   const u64 insns0 = instructions_;
 
-  DecodedInsn* d = &page->slots[(entry_linear & kPageMask) / kInsnSize];
+  const DecodedInsn* d = &page->slots[(entry_linear & kPageMask) / kInsnSize];
   ExecCtx ctx;
   ExecStatus st;
   u32 n;
@@ -1403,49 +1402,6 @@ run_start:
   // one-instruction runs with a checked boundary after each — exactly the
   // per-instruction discipline.
   if (cycles_ + d->run_cost_max >= until) n = 1;
-  // Hot-trace tier. Eligible only when the engine is about to execute the
-  // FULL run in unchecked-interior mode (n survived both clips): that is the
-  // precise condition under which the block engine itself would retire the
-  // body with no interior boundary checks, so the trace executor — which has
-  // none — lands every exit on the same boundaries by construction. The
-  // body (all slots but the last) runs as micro-ops; the final slot then
-  // dispatches through the normal per-opcode label below, keeping chain /
-  // far / halt / checked-run-boundary handling in one place.
-  if (trace_engine_enabled_ && n >= 2 && n == d->run_len) {
-    u16 ti = d->trace;
-    if (ti == kTraceNone && ++d->hot >= kTraceHotThreshold) {
-      auto lowered =
-          LowerRun(page->slots.data(), static_cast<u32>(d - page->slots.data()), d->run_len);
-      if (lowered != nullptr && page->traces.size() < kTraceUntraceable) {
-        ti = static_cast<u16>(page->traces.size());
-        page->traces.push_back(std::move(lowered));
-        ++trace_stats_.promotions;
-        if (recorder_ != nullptr) {
-          recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceCompile,
-                            obs::EventClass::kEngine, eip_, d->run_len);
-        }
-      } else {
-        ti = kTraceUntraceable;
-      }
-      d->trace = ti;
-    }
-    if (ti < kTraceUntraceable) {
-      const TraceExit te =
-          ExecTrace(page, *page->traces[ti], gen0, until, d->run_cost_max, stop);
-      if (te == TraceExit::kStopped) PALLADIUM_BLOCK_EXIT(BlockExit::kStopped);
-      if (te == TraceExit::kYield) {
-        // The decode generation changed mid-body: a store (local or remote)
-        // invalidated the trace's page and the body exited at the boundary.
-        if (recorder_ != nullptr) {
-          recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceInvalidate,
-                            obs::EventClass::kEngine, eip_, 0);
-        }
-        goto yield;
-      }
-      d += d->run_len - 1;
-      n = 1;
-    }
-  }
   goto *kLabels[d->dispatch];
 
 run_boundary:
@@ -1541,787 +1497,6 @@ fault_exit:
 yield:
   PALLADIUM_BLOCK_EXIT(BlockExit::kYield);
 #undef PALLADIUM_BLOCK_EXIT
-}
-
-namespace {
-
-// Refreshes a memory uop's pin from the D-TLB entry the access just used (or
-// left behind), so the next execution of this uop can skip the probe. Called
-// only on the fallback path; Lookup here has no statistics side effects.
-inline void RepinFromDtlb(TracePin& p, DTlb& dtlb, u64 tlb_change, u32 linear) {
-  const u32 vpn = PageNumber(linear);
-  DTlb::Entry* e = dtlb.Lookup(vpn, tlb_change);
-  if (e == nullptr) {
-    p.tlb_change = ~0ull;
-    return;
-  }
-  p.tlb_change = tlb_change;
-  p.dtlb_gen = dtlb.mutation_count();
-  p.vpn = vpn;
-  p.frame = e->frame;
-  p.flags = e->flags;
-  p.host = e->host;
-}
-
-}  // namespace
-
-// The hot-trace executor: retires one lowered run body. Every architectural
-// effect is identical to the block engine retiring the same slots — only the
-// *work* differs:
-//
-//  * EFLAGS are not written per instruction; the FlagsCache records the last
-//    observable producer and the flags are materialized (bit-identically,
-//    see MaterializeFlags) once, at whichever exit happens: body completion,
-//    a fault, or a generation yield.
-//  * eip/cycles/instructions are batched: each uop carries prefix sums, so
-//    an early exit reconstructs the exact per-instruction values. Dynamic
-//    cycle charges (TLB-miss penalties inside fallback accesses) accrue to
-//    cycles_ in place, which commutes with adding the base-cost sum.
-//  * Memory uops try their pin first (the elided probe); any failed
-//    validation — counter mismatch, page change, permissions, dirty bit —
-//    falls back to the full MemRead/MemWrite, i.e. the oracle itself, and
-//    re-pins from its D-TLB fill. TLB statistics on the pinned path are the
-//    charges of the D-TLB inline hit it replaces.
-//  * After every uop that can touch simulated memory the decode-cache
-//    generation is re-checked, exactly where the block engine re-checks it,
-//    so self-modifying stores and SMP remote invalidations exit the trace at
-//    the same instruction boundary in every engine.
-Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
-                                                       u64 gen0, u64 until,
-                                                       u32 run_cost_max, StopInfo* stop) {
-  using ES = ExecStatus;
-  using ExecFn = ES (*)(Cpu&, const DecodedInsn&, ExecCtx&);
-  static const ExecFn kExecFns[kNumOpcodes] = {
-#define PALLADIUM_X(name) &Cpu::ExecOp<Opcode::name>,
-      PALLADIUM_FOR_EACH_OPCODE(PALLADIUM_X)
-#undef PALLADIUM_X
-  };
-  // Threaded dispatch, one label per UopKind — the same technique as
-  // RunBlock's opcode labels. Order must match the UopKind enum exactly.
-  static const void* const kUopLabels[] = {
-      &&u_nop,  &&u_movrr, &&u_movri, &&u_lea,  &&u_add, &&u_sub, &&u_cmp,
-      &&u_and,  &&u_test,  &&u_or,    &&u_xor,  &&u_shl, &&u_shr, &&u_sar,
-      &&u_imul, &&u_neg,   &&u_not,   &&u_inc,  &&u_dec, &&u_fold,
-      &&u_load, &&u_store, &&u_storei, &&u_exec, &&u_jcc, &&u_cmpjcc,
-  };
-  static_assert(sizeof(kUopLabels) / sizeof(kUopLabels[0]) ==
-                    static_cast<size_t>(UopKind::kCmpJcc) + 1,
-                "kUopLabels must cover every UopKind");
-
-  FlagsCache fc;  // Op::kEager — eflags_ is architecturally current at entry
-  Fault fault;
-  const u32 entry_eip = eip_;
-  // Loop-invariant CPU state: CPL and the D-TLB switch can only change at
-  // far transfers, which are never in a body; TLB flushes are host-side and
-  // the host only runs between Run slices (same argument as RunBlock's
-  // frontier).
-  const bool user3 = cpl_ == 3;
-  const bool dtlb_on = dtlb_enabled_;
-  const u64 taken_cost = cost_.taken_branch;
-  const u64 tlb_change = tlb_.change_count();
-  // Everything the hot path would otherwise read-modify-write through
-  // `this` — cycle and instruction counters, TLB statistics, trace counters
-  // — is batched in locals the compiler can keep in registers, because the
-  // fallback call-outs prevent it from doing that to the members itself.
-  // `cyc`/`insns` are the executor's truth; they sync with the members only
-  // around call-outs that charge dynamic cycles (walk penalties), and all
-  // counters flush exactly once per exit.
-  u64 cyc = cycles_;
-  u64 insns = instructions_;
-  const u64 insns0 = insns;
-  u64 tlb_hits = 0;   // batched Tlb::RecordFastPathHits bytes
-  u64 dtlb_hits = 0;  // batched DTlb::CountHit
-  u64 elided = 0;
-  u32 iters = 0;  // in-trace loop-backs; each is another trace entry
-  // Guest stores go through u8* and may alias anything the compiler cannot
-  // prove disjoint — including the pin vector's data pointer, the D-TLB
-  // statistics behind mutation_count(), and the observer registration — so
-  // without these register copies every memory uop re-loads them from
-  // memory. All three are loop-invariant (observers cannot change mid-run;
-  // the D-TLB generation only moves on our own fallback fills, after which
-  // the local is refreshed).
-  TracePin* const pins = t.pins.data();
-  const bool sole_dcache_observer = pm_.sole_write_observer() == &dcache_;
-  u64 dtlb_gen_live = dtlb_.mutation_count();
-  // Per-segment fast-access windows: an access of `size` at `off` passes
-  // CheckSegmentAccess iff off + size - 1 <= lim in signed 64-bit math,
-  // with lim = -1 encoding "never" — validity, permissions, and the limit
-  // fold into one compare. Any access outside the window takes the MemRead
-  // / MemWrite fallback, which redoes the architectural check and raises
-  // the exact fault. These live in locals the compiler can prove guest stores
-  // never alias; kExec is the only uop that can reload a segment register,
-  // so it refreshes them.
-  i64 seg_rd_lim[kNumSegRegs];  // pass iff off + size - 1 <= lim (-1: never)
-  i64 seg_wr_lim[kNumSegRegs];
-  i64 seg_rd_end4[kNumSegRegs];  // = rd_lim - 3: last off a 4-byte read fits
-  u32 seg_base[kNumSegRegs];
-  const auto refresh_seg_windows = [&] {
-    for (u32 s = 0; s < kNumSegRegs; ++s) {
-      const LoadedSegment& sg = segs_[s];
-      const SegmentDescriptor& d = sg.cache;
-      const bool rd_ok = sg.valid && !(d.IsCode() && !d.readable);
-      const bool wr_ok = sg.valid && !d.IsCode() && d.writable;
-      seg_rd_lim[s] = rd_ok ? static_cast<i64>(d.limit) : -1;
-      seg_wr_lim[s] = wr_ok ? static_cast<i64>(d.limit) : -1;
-      seg_rd_end4[s] = seg_rd_lim[s] - 3;
-      seg_base[s] = d.base;
-    }
-  };
-  refresh_seg_windows();
-  // Has-code bitmap, hoisted for the store fast path. A store into a page
-  // with no decoded code cannot move the decode-cache generation, so the
-  // probe replaces both the observer dispatch and the generation re-check
-  // in the overwhelmingly common case. Values are re-read through the
-  // pointer on every probe; only the pointer and size are cached (they move
-  // on Populate, which only runs at instruction fetch, never mid-body).
-  const u8* const has_code = dcache_.has_code_data();
-  const u32 has_code_pages = dcache_.has_code_pages();
-
-#define PALLADIUM_TRACE_SYNC_OUT() cycles_ = cyc
-#define PALLADIUM_TRACE_SYNC_IN() cyc = cycles_
-#define PALLADIUM_TRACE_FLUSH_STATS()                   \
-  do {                                                  \
-    tlb_.RecordFastPathHits(tlb_hits);                  \
-    dtlb_.CountHits(dtlb_hits);                         \
-    trace_stats_.probes_elided += elided;               \
-    trace_stats_.entries += 1 + iters;                  \
-    trace_stats_.uop_insns += instructions_ - insns0;   \
-  } while (0)
-
-  Uop* const ubegin = t.uops.data();
-  Uop* const uend = ubegin + t.uops.size();
-  if (__builtin_expect(!t.threaded, 0)) {
-    for (Uop* x = ubegin; x != uend; ++x) {
-      const void* tgt = kUopLabels[static_cast<u8>(x->kind)];
-      // 4-byte memory uops — the dominant case: every push/pop and almost
-      // every mov — get switch-free specializations; push/pop variants fold
-      // their fixed ESP adjustment into the label itself. The generic labels
-      // stay the fallback for 1/2-byte accesses, and a specialized label
-      // that misses its fast-path guard re-dispatches to its generic one.
-      if (x->size == 4) {
-        if (x->kind == UopKind::kLoad)
-          tgt = x->esp_post ? static_cast<const void*>(&&u_pop4)
-                            : static_cast<const void*>(&&u_load4);
-        else if (x->kind == UopKind::kStore)
-          tgt = x->esp_post ? static_cast<const void*>(&&u_push4)
-                            : static_cast<const void*>(&&u_store4);
-        else if (x->kind == UopKind::kStoreI)
-          tgt = x->esp_post ? static_cast<const void*>(&&u_pushi4)
-                            : static_cast<const void*>(&&u_storei4);
-      }
-      x->target = tgt;
-    }
-    t.threaded = true;
-  }
-  // Loop-back guard, hoisted out of the terminator: whether the taken target
-  // is this trace's own entry is static per trace, and the frontier check
-  // `cyc + run_cost_max < until` folds to one compare against a precomputed
-  // bound (clamped so `until < run_cost_max` can never loop). Only the
-  // generation re-check stays live per iteration — it is the invalidation
-  // fence and must read fresh state.
-  const Uop* const ulast = uend - 1;
-  const bool loop_to_entry = ulast->kind >= UopKind::kJcc &&
-                             static_cast<u32>(ulast->imm) == entry_eip;
-  const u64 loop_until = until > run_cost_max ? until - run_cost_max : 0;
-  Uop* u = ubegin;
-  u32 sval = 0;  // store value, set by u_store/u_storei for store_common
-  goto *u->target;  // bodies are never empty
-
-#define PALLADIUM_UOP_NEXT()         \
-  do {                                 \
-    if (++u == uend) goto body_done;   \
-    goto *u->target;                   \
-  } while (0)
-
-u_nop:
-  PALLADIUM_UOP_NEXT();
-
-u_movrr:
-  regs_[u->r1] = regs_[u->r2];
-  PALLADIUM_UOP_NEXT();
-
-u_movri:
-  regs_[u->r1] = static_cast<u32>(u->imm);
-  PALLADIUM_UOP_NEXT();
-
-u_lea: {
-  u32 a = static_cast<u32>(u->disp);
-  if (u->r2 != kNoBaseReg) a += regs_[u->r2];
-  if (u->scale != 0) a += regs_[u->r3] * u->scale;
-  regs_[u->r1] = a;
-  PALLADIUM_UOP_NEXT();
-}
-
-u_add: {
-  const u32 a = regs_[u->r1];
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  regs_[u->r1] = a + b;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kAdd, a, b};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_sub: {
-  const u32 a = regs_[u->r1];
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  regs_[u->r1] = a - b;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kSub, a, b};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_cmp:
-  if (u->record) {
-    fc = FlagsCache{FlagsCache::Op::kSub, regs_[u->r1],
-                    u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2]};
-  }
-  PALLADIUM_UOP_NEXT();
-
-u_and: {
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  const u32 r = regs_[u->r1] & b;
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_test:
-  if (u->record) {
-    const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-    fc = FlagsCache{FlagsCache::Op::kLogic, regs_[u->r1] & b, 0};
-  }
-  PALLADIUM_UOP_NEXT();
-
-u_or: {
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  const u32 r = regs_[u->r1] | b;
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_xor: {
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-  const u32 r = regs_[u->r1] ^ b;
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_shl: {
-  const u32 r = regs_[u->r1] << (static_cast<u32>(u->imm) & 31);
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_shr: {
-  const u32 r = regs_[u->r1] >> (static_cast<u32>(u->imm) & 31);
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_sar: {
-  const u32 r =
-      static_cast<u32>(static_cast<i32>(regs_[u->r1]) >> (static_cast<u32>(u->imm) & 31));
-  regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_imul: {
-  const i64 a = static_cast<i32>(regs_[u->r1]);
-  const i64 b = u->b_imm ? static_cast<i64>(u->imm)
-                         : static_cast<i64>(static_cast<i32>(regs_[u->r2]));
-  const i64 r = a * b;
-  regs_[u->r1] = static_cast<u32>(r);
-  if (u->record) {
-    fc = FlagsCache{FlagsCache::Op::kImul, static_cast<u32>(r),
-                    r != static_cast<i32>(r) ? 1u : 0u};
-  }
-  PALLADIUM_UOP_NEXT();
-}
-
-u_neg: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = 0 - a;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kNeg, a, 0};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_not:
-  regs_[u->r1] = ~regs_[u->r1];
-  PALLADIUM_UOP_NEXT();
-
-u_inc: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a + 1;
-  // Capture the carried CF from the previous producer *before* overwriting
-  // the cache — INC preserves CF.
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kInc, a, LazyCf(fc, eflags_) ? 1u : 0u};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_dec: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a - 1;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kDec, a, LazyCf(fc, eflags_) ? 1u : 0u};
-  PALLADIUM_UOP_NEXT();
-}
-
-u_fold: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a + static_cast<u32>(u->imm);
-  // Flags as-if the chain's last op alone executed on the true intermediate
-  // value (a + the pre-last delta).
-  if (u->record) {
-    fc = FlagsCache{u->fold_last_is_sub ? FlagsCache::Op::kSub : FlagsCache::Op::kAdd,
-                    a + static_cast<u32>(u->imm2), static_cast<u32>(u->disp)};
-  }
-  PALLADIUM_UOP_NEXT();
-}
-
-u_load: {
-  u32 off = static_cast<u32>(u->disp);
-  if (u->r2 != kNoBaseReg) off += regs_[u->r2];
-  if (u->scale != 0) off += regs_[u->r3] * u->scale;
-  const u32 linear = seg_base[u->seg_idx] + off;
-  TracePin& p = pins[u->pin];
-  u32 value;
-  // The segment-window compare stands in for CheckSegmentAccess on the fast
-  // path; any access outside it (including through an invalid or
-  // execute-only segment) falls back to MemRead, which redoes the
-  // architectural check and raises the exact fault.
-  if (__builtin_expect(dtlb_on && u->size != 0 &&
-                           static_cast<i64>(off) + u->size - 1 <=
-                               seg_rd_lim[u->seg_idx] &&
-                           (linear & kPageMask) + u->size <= kPageSize &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
-                       1)) {
-    // Probe elided: a live pin IS the live D-TLB entry, so the charges are
-    // exactly the inline hit's (batched; flushed at trace exit).
-    tlb_hits += u->size;
-    ++dtlb_hits;
-    ++elided;
-    const u8* host = p.host + (linear & kPageMask);
-    switch (u->size) {
-      case 1:
-        value = *host;
-        break;
-      case 2: {
-        u16 v16;
-        std::memcpy(&v16, host, 2);
-        value = v16;
-        break;
-      }
-      case 4:
-        std::memcpy(&value, host, 4);
-        break;
-      default:
-        value = 0;
-        std::memcpy(&value, host, u->size);
-        break;
-    }
-  } else {
-    value = 0;
-    PALLADIUM_TRACE_SYNC_OUT();
-    const bool ok =
-        MemRead(segs_[u->seg_idx], off, u->size, u->is_stack, &value, &fault);
-    PALLADIUM_TRACE_SYNC_IN();  // walk penalties charged before a fault too
-    dtlb_gen_live = dtlb_.mutation_count();
-    if (!ok) goto fault_exit;
-    RepinFromDtlb(p, dtlb_, tlb_change, linear);
-    // The fallback's walk can retire decoded code (A/D updates inside a
-    // decoded page) — the block engine's re-check. The pinned path reads
-    // host memory and nothing else, so it provably cannot move the
-    // generation and skips the check.
-    regs_[static_cast<u8>(Reg::kEsp)] += static_cast<u32>(static_cast<i32>(u->esp_post));
-    regs_[u->r1] = value;
-    if (dcache_.generation() != gen0) goto gen_exit;
-    PALLADIUM_UOP_NEXT();
-  }
-  // POP commits its ESP move before the destination write (Pop32's order, so
-  // `pop %esp` loads the memory value); plain loads add 0.
-  regs_[static_cast<u8>(Reg::kEsp)] += static_cast<u32>(static_cast<i32>(u->esp_post));
-  regs_[u->r1] = value;
-  PALLADIUM_UOP_NEXT();
-}
-
-u_load4: {  // kLoad, size 4, no ESP adjustment — the common mov-load
-  u32 off = static_cast<u32>(u->disp);
-  if (u->r2 != kNoBaseReg) off += regs_[u->r2];
-  if (u->scale != 0) off += regs_[u->r3] * u->scale;
-  const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_end4[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
-                       1)) {
-    tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
-    u32 value;
-    std::memcpy(&value, p.host + (linear & kPageMask), 4);
-    regs_[u->r1] = value;
-    PALLADIUM_UOP_NEXT();
-  }
-  goto u_load;  // window or pin miss: the generic path faults / refills exactly
-}
-
-u_pop4: {  // kLoad, size 4, ESP += 4 after the access
-  const u32 off = regs_[u->r2];  // pop EA is SS:ESP, no disp/index
-  const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_end4[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
-                       1)) {
-    tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
-    u32 value;
-    std::memcpy(&value, p.host + (linear & kPageMask), 4);
-    regs_[static_cast<u8>(Reg::kEsp)] += 4;  // before the write: pop %esp
-    regs_[u->r1] = value;
-    PALLADIUM_UOP_NEXT();
-  }
-  goto u_load;
-}
-
-u_push4:
-  sval = regs_[u->r1];
-  goto store4_push;
-u_pushi4:
-  sval = static_cast<u32>(u->imm);
-store4_push: {  // kStore/kStoreI, size 4, ESP -= 4 after the access
-  const u32 off = regs_[u->r2] + static_cast<u32>(u->disp);  // SS:ESP-4
-  const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) + 3 <= seg_wr_lim[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) && (p.flags & kPteDirty) &&
-                           !(user3 && (~p.flags & (kPteUser | kPteWrite)) != 0),
-                       1)) {
-    tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
-    const u32 poff = linear & kPageMask;
-    std::memcpy(p.host + poff, &sval, 4);
-    const u32 phys = p.frame + poff;
-    regs_[static_cast<u8>(Reg::kEsp)] -= 4;
-    if (sole_dcache_observer) {
-      const u32 pfn = PageNumber(phys);
-      if (__builtin_expect(pfn < has_code_pages && has_code[pfn] != 0, 0)) {
-        dcache_.OnPhysicalWrite(phys, 4);
-        if (dcache_.generation() != gen0) goto gen_exit;
-      }
-    } else {
-      pm_.NotifyWrite(phys, 4);
-      if (dcache_.generation() != gen0) goto gen_exit;
-    }
-    PALLADIUM_UOP_NEXT();
-  }
-  goto *kUopLabels[static_cast<u8>(u->kind)];  // generic kStore / kStoreI
-}
-
-u_store4:
-  sval = regs_[u->r1];
-  goto store4_plain;
-u_storei4:
-  sval = static_cast<u32>(u->imm);
-store4_plain: {  // kStore/kStoreI, size 4, no ESP adjustment
-  u32 off = static_cast<u32>(u->disp);
-  if (u->r2 != kNoBaseReg) off += regs_[u->r2];
-  if (u->scale != 0) off += regs_[u->r3] * u->scale;
-  const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) + 3 <= seg_wr_lim[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) && (p.flags & kPteDirty) &&
-                           !(user3 && (~p.flags & (kPteUser | kPteWrite)) != 0),
-                       1)) {
-    tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
-    const u32 poff = linear & kPageMask;
-    std::memcpy(p.host + poff, &sval, 4);
-    const u32 phys = p.frame + poff;
-    if (sole_dcache_observer) {
-      const u32 pfn = PageNumber(phys);
-      if (__builtin_expect(pfn < has_code_pages && has_code[pfn] != 0, 0)) {
-        dcache_.OnPhysicalWrite(phys, 4);
-        if (dcache_.generation() != gen0) goto gen_exit;
-      }
-    } else {
-      pm_.NotifyWrite(phys, 4);
-      if (dcache_.generation() != gen0) goto gen_exit;
-    }
-    PALLADIUM_UOP_NEXT();
-  }
-  goto *kUopLabels[static_cast<u8>(u->kind)];  // generic kStore / kStoreI
-}
-
-u_store:
-  sval = regs_[u->r1];
-  goto store_common;
-u_storei:
-  sval = static_cast<u32>(u->imm);
-store_common: {
-  u32 off = static_cast<u32>(u->disp);
-  if (u->r2 != kNoBaseReg) off += regs_[u->r2];
-  if (u->scale != 0) off += regs_[u->r3] * u->scale;
-  const u32 linear = seg_base[u->seg_idx] + off;
-  TracePin& p = pins[u->pin];
-  if (__builtin_expect(dtlb_on && u->size != 0 &&
-                           static_cast<i64>(off) + u->size - 1 <=
-                               seg_wr_lim[u->seg_idx] &&
-                           (linear & kPageMask) + u->size <= kPageSize &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) && (p.flags & kPteDirty) &&
-                           !(user3 && (~p.flags & (kPteUser | kPteWrite)) != 0),
-                       1)) {
-    tlb_hits += u->size;
-    ++dtlb_hits;
-    ++elided;
-    const u32 poff = linear & kPageMask;
-    u8* host = p.host + poff;
-    switch (u->size) {
-      case 1:
-        *host = static_cast<u8>(sval);
-        break;
-      case 2: {
-        const u16 v16 = static_cast<u16>(sval);
-        std::memcpy(host, &v16, 2);
-        break;
-      }
-      case 4:
-        std::memcpy(host, &sval, 4);
-        break;
-      default:
-        std::memcpy(host, &sval, u->size);
-        break;
-    }
-    const u32 phys = p.frame + poff;
-    // Pin guarantees the access stays on one page, so a single has-code
-    // probe decides whether the write could retire decoded code; a clear
-    // byte proves the generation cannot have moved.
-    if (sole_dcache_observer) {
-      const u32 pfn = PageNumber(phys);
-      if (__builtin_expect(pfn < has_code_pages && has_code[pfn] != 0, 0)) {
-        dcache_.OnPhysicalWrite(phys, u->size);
-        regs_[static_cast<u8>(Reg::kEsp)] +=
-            static_cast<u32>(static_cast<i32>(u->esp_post));
-        if (dcache_.generation() != gen0) goto gen_exit;
-        PALLADIUM_UOP_NEXT();
-      }
-    } else {
-      pm_.NotifyWrite(phys, u->size);
-      regs_[static_cast<u8>(Reg::kEsp)] +=
-          static_cast<u32>(static_cast<i32>(u->esp_post));
-      if (dcache_.generation() != gen0) goto gen_exit;
-      PALLADIUM_UOP_NEXT();
-    }
-    regs_[static_cast<u8>(Reg::kEsp)] +=
-        static_cast<u32>(static_cast<i32>(u->esp_post));
-    PALLADIUM_UOP_NEXT();
-  } else {
-    PALLADIUM_TRACE_SYNC_OUT();
-    const bool ok =
-        MemWrite(segs_[u->seg_idx], off, u->size, u->is_stack, sval, &fault);
-    PALLADIUM_TRACE_SYNC_IN();
-    dtlb_gen_live = dtlb_.mutation_count();
-    if (!ok) goto fault_exit;
-    RepinFromDtlb(p, dtlb_, tlb_change, linear);
-    regs_[static_cast<u8>(Reg::kEsp)] +=
-        static_cast<u32>(static_cast<i32>(u->esp_post));
-    if (dcache_.generation() != gen0) goto gen_exit;
-    PALLADIUM_UOP_NEXT();
-  }
-}
-
-u_exec: {
-  // Segment moves, udiv: the shared per-opcode core. None of these write
-  // flags or read EIP, so the lazy cache and the batched EIP stay coherent
-  // across them.
-  const DecodedInsn& d = page->slots[u->slot];
-  ExecCtx ctx;
-  PALLADIUM_TRACE_SYNC_OUT();
-  const ES st = kExecFns[d.dispatch](*this, d, ctx);
-  PALLADIUM_TRACE_SYNC_IN();
-  dtlb_gen_live = dtlb_.mutation_count();
-  refresh_seg_windows();  // segment moves live here
-  if (st == ES::kFault) {
-    fault = ctx.fault;
-    goto fault_exit;
-  }
-  if (dcache_.generation() != gen0) goto gen_exit;
-  PALLADIUM_UOP_NEXT();
-}
-
-u_jcc: {
-  // The run's conditional terminator, evaluated against the lazy cache one
-  // flag at a time. When taken straight back to this run's own entry — the
-  // hot-loop backward edge — and the next full iteration provably retires
-  // below the frontier (the same run_cost_max bound run_start re-checks)
-  // with nothing invalidated (the same generation re-check `chain` does),
-  // the executor loops in place and the flags stay lazy across the
-  // iteration. Every other outcome exits with exact architectural state at
-  // precisely the boundary where the block engine would next run its own
-  // checks, so yielding to the outer loop is equivalent by construction.
-  bool taken;
-  switch (u->r1) {
-    case 0: taken = LazyZf(fc, eflags_); break;                                // je
-    case 1: taken = !LazyZf(fc, eflags_); break;                               // jne
-    case 2: taken = LazyCf(fc, eflags_); break;                                // jb
-    case 3: taken = !LazyCf(fc, eflags_); break;                               // jae
-    case 4: taken = LazyCf(fc, eflags_) || LazyZf(fc, eflags_); break;         // jbe
-    case 5: taken = !LazyCf(fc, eflags_) && !LazyZf(fc, eflags_); break;       // ja
-    case 6: taken = LazySf(fc, eflags_) != LazyOf(fc, eflags_); break;         // jl
-    case 7: taken = LazySf(fc, eflags_) == LazyOf(fc, eflags_); break;         // jge
-    case 8:                                                                    // jle
-      taken = LazyZf(fc, eflags_) || LazySf(fc, eflags_) != LazyOf(fc, eflags_);
-      break;
-    case 9:                                                                    // jg
-      taken = !LazyZf(fc, eflags_) && LazySf(fc, eflags_) == LazyOf(fc, eflags_);
-      break;
-    case 10: taken = LazySf(fc, eflags_); break;                               // js
-    default: taken = !LazySf(fc, eflags_); break;                              // jns
-  }
-  insns += u->insn_before + 1;
-  if (taken) {
-    cyc += u->cost_before + taken_cost;
-    if (__builtin_expect(loop_to_entry && cyc < loop_until &&
-                             dcache_.generation() == gen0,
-                         1)) {
-      ++iters;
-      u = ubegin;
-      goto *u->target;
-    }
-    eip_ = static_cast<u32>(u->imm);
-  } else {
-    cyc += u->cost_before + u->cost;
-    eip_ = entry_eip + (u->insn_before + 1) * kInsnSize;
-  }
-  cycles_ = cyc;
-  instructions_ = insns;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  if (fc.op != FlagsCache::Op::kEager) {
-    eflags_ = MaterializeFlags(fc, eflags_);
-    ++trace_stats_.flag_materializations;
-  }
-  return TraceExit::kYield;
-}
-
-u_cmpjcc: {
-  // Fused compare-and-branch terminator. The condition evaluates directly
-  // from the compare operands via the standard sub-flag identities (jb is
-  // unsigned a < b, jl is signed a < b, js is the sign of a - b, ...), which
-  // are exactly what ExecOp's per-flag reads of a cmp's EFLAGS compute. The
-  // operands still enter the flags cache so every exit materializes the
-  // compare's architectural flags.
-  const u32 a = regs_[u->r1];
-  const u32 b = u->b_imm ? static_cast<u32>(u->imm2) : regs_[u->r2];
-  fc = FlagsCache{FlagsCache::Op::kSub, a, b};
-  bool taken;
-  switch (u->r3) {
-    case 0: taken = a == b; break;                                        // je
-    case 1: taken = a != b; break;                                        // jne
-    case 2: taken = a < b; break;                                         // jb
-    case 3: taken = a >= b; break;                                        // jae
-    case 4: taken = a <= b; break;                                        // jbe
-    case 5: taken = a > b; break;                                         // ja
-    case 6: taken = static_cast<i32>(a) < static_cast<i32>(b); break;     // jl
-    case 7: taken = static_cast<i32>(a) >= static_cast<i32>(b); break;    // jge
-    case 8: taken = static_cast<i32>(a) <= static_cast<i32>(b); break;    // jle
-    case 9: taken = static_cast<i32>(a) > static_cast<i32>(b); break;     // jg
-    case 10: taken = ((a - b) >> 31) != 0; break;                         // js
-    default: taken = ((a - b) >> 31) == 0; break;                         // jns
-  }
-  insns += u->insn_before + 2;
-  if (taken) {
-    cyc += u->cost_before + u->cost + taken_cost;
-    if (__builtin_expect(loop_to_entry && cyc < loop_until &&
-                             dcache_.generation() == gen0,
-                         1)) {
-      ++iters;
-      u = ubegin;
-      goto *u->target;
-    }
-    eip_ = static_cast<u32>(u->imm);
-  } else {
-    cyc += u->cost_before + u->cost + u->cost2;
-    eip_ = entry_eip + (u->insn_before + 2) * kInsnSize;
-  }
-  cycles_ = cyc;
-  instructions_ = insns;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  eflags_ = MaterializeFlags(fc, eflags_);
-  ++trace_stats_.flag_materializations;
-  return TraceExit::kYield;
-}
-#undef PALLADIUM_UOP_NEXT
-
-body_done:
-  // Body complete: commit the batched retire state; the caller dispatches
-  // the run's final slot through the block engine's own handler.
-  cycles_ = cyc + t.body_cost;
-  instructions_ = insns + t.body_insns;
-  eip_ = entry_eip + t.body_insns * kInsnSize;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  if (fc.op != FlagsCache::Op::kEager) {
-    eflags_ = MaterializeFlags(fc, eflags_);
-    ++trace_stats_.flag_materializations;
-  }
-  return TraceExit::kBody;
-
-fault_exit:
-  // The faulting instruction charges no base cost but DOES count in
-  // instructions_ — the block engine and StepOne both increment the counter
-  // before dispatching and never roll it back on a fault. Its dynamic
-  // charges (walk penalties before the fault) were synced back into `cyc`
-  // by the call-out wrappers — both exactly as the block engine's fault
-  // path.
-  cycles_ = cyc + u->cost_before;
-  instructions_ = insns + u->insn_before + 1;
-  eip_ = entry_eip + u->insn_before * kInsnSize;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  if (fc.op != FlagsCache::Op::kEager) {
-    eflags_ = MaterializeFlags(fc, eflags_);
-    ++trace_stats_.flag_materializations;
-  }
-  stop->reason = StopReason::kFault;
-  stop->fault = fault;
-  return TraceExit::kStopped;
-
-gen_exit:
-  // The access retired decoded code: the current uop completes (cost and
-  // span included), then the trace yields for a re-fetch — the same
-  // boundary at which the block engine yields.
-  cycles_ = cyc + u->cost_before + u->cost;
-  instructions_ = insns + u->insn_before + u->span;
-  eip_ = entry_eip + (u->insn_before + u->span) * kInsnSize;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  if (fc.op != FlagsCache::Op::kEager) {
-    eflags_ = MaterializeFlags(fc, eflags_);
-    ++trace_stats_.flag_materializations;
-  }
-  return TraceExit::kYield;
-#undef PALLADIUM_TRACE_SYNC_OUT
-#undef PALLADIUM_TRACE_SYNC_IN
-#undef PALLADIUM_TRACE_FLUSH_STATS
 }
 
 }  // namespace palladium

@@ -63,9 +63,12 @@ struct CpuContext {
   std::array<LoadedSegment, kNumSegRegs> segs{};
 };
 
-// The EFLAGS bit constants (kFlagCf, kFlagZf, kFlagSf, kFlagIf, kFlagOf)
-// live in src/isa/uop.h — next to the lazy-flags materialization that
-// reconstructs them — and arrive here through decode_cache.h.
+// EFLAGS bits the simulated ISA models.
+inline constexpr u32 kFlagCf = 1u << 0;
+inline constexpr u32 kFlagZf = 1u << 6;
+inline constexpr u32 kFlagSf = 1u << 7;
+inline constexpr u32 kFlagIf = 1u << 9;  // hardware-interrupt enable
+inline constexpr u32 kFlagOf = 1u << 11;
 
 class IrqHub;
 
@@ -148,27 +151,6 @@ class Cpu {
   };
   const BlockStats& block_stats() const { return block_stats_; }
 
-  // Disables the hot-trace translation tier: block dispatch never promotes
-  // runs to micro-op traces and executes every slot through the per-opcode
-  // handlers. The block engine is the trace tier's in-binary differential
-  // oracle — registers, memory, cycle counts, TLB stats, fault and
-  // interrupt streams are byte-identical either way. Env analogue:
-  // PALLADIUM_NO_TRACE=1. Effective only while the block engine runs.
-  void set_trace_engine_enabled(bool enabled) { trace_engine_enabled_ = enabled; }
-  bool trace_engine_enabled() const { return trace_engine_enabled_; }
-
-  // Trace-tier observability: promotion/elision rates, so regressions in
-  // the optimizations themselves (not just end-to-end sim-MIPS) are
-  // measurable.
-  struct TraceStats {
-    u64 promotions = 0;             // runs lowered to micro-op traces
-    u64 entries = 0;                // trace-body executions begun
-    u64 uop_insns = 0;              // instructions retired inside trace bodies
-    u64 flag_materializations = 0;  // lazy EFLAGS computed at an exit
-    u64 probes_elided = 0;          // D-TLB probes answered by a live pin
-  };
-  const TraceStats& trace_stats() const { return trace_stats_; }
-
   DTlb& dtlb() { return dtlb_; }
   const DTlb::Stats& dtlb_stats() const { return dtlb_.stats(); }
   // Disables the data-access fast path (every load/store/push/pop goes back
@@ -216,8 +198,7 @@ class Cpu {
   void set_irq_trace(std::vector<IrqEvent>* trace) { irq_trace_ = trace; }
 
   // --- Observability (optional, pure observers) ------------------------------
-  // A flight recorder receives IRQ-delivery events (kArch class) and
-  // trace-tier compile/invalidate events (kEngine class) on `track`; a cycle
+  // A flight recorder receives IRQ-delivery events on `track`; a cycle
   // profiler is switched to Category::kIrq at hardware-interrupt delivery.
   // Both only *read* the cycle/stat counters — attaching them cannot perturb
   // execution, so every differential mode stays byte-identical with
@@ -298,17 +279,6 @@ class Cpu {
     kStopped,  // *stop filled (fault / halt)
   };
   BlockExit RunBlock(u64 cycle_limit, StopInfo* stop);
-
-  // The hot-trace tier: executes a lowered run body (see src/isa/uop.h).
-  // Called from inside block dispatch once the whole run is proved below
-  // the cycle/IRQ frontier; returns how the body ended.
-  enum class TraceExit : u8 {
-    kBody,     // body fully retired; dispatch the run's final slot
-    kYield,    // decode generation changed mid-body; leave block dispatch
-    kStopped,  // fault: *stop filled, EIP on the faulting instruction
-  };
-  TraceExit ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 until,
-                      u32 run_cost_max, StopInfo* stop);
 
   // Address translation: linear -> physical with paging + TLB. `flags_out`
   // (optional) receives the effective PTE flags of the translation;
@@ -405,20 +375,13 @@ class Cpu {
   // while the decode cache is enabled.
   bool block_engine_enabled_ = true;
   BlockStats block_stats_;
-  // Hot-trace tier switch (see set_trace_engine_enabled) and counters.
-  // Promotion threshold: run-head executions before lowering. High enough
-  // that cold code never pays the lowering cost, low enough that any loop
-  // worth measuring gets promoted almost immediately.
-  static constexpr u16 kTraceHotThreshold = 16;
-  bool trace_engine_enabled_ = true;
-  TraceStats trace_stats_;
   // One-entry fetch TLB pinning (linear page -> decoded physical page). An
   // entry is live only while both generation tags still match; TLB flushes
   // (CR3 load, INVLPG) and decode-cache invalidations (self-modifying code)
   // each kill it in O(1) by bumping their counter.
   u32 fetch_vpn_ = 0;
   u32 fetch_flags_ = 0;
-  DecodeCache::Page* fetch_page_ = nullptr;
+  const DecodeCache::Page* fetch_page_ = nullptr;
   u64 fetch_tlb_change_ = ~0ull;
   u64 fetch_dcache_gen_ = ~0ull;
   // Slow-path decode target (unaligned / page-crossing fetches), annotated

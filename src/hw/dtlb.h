@@ -79,18 +79,7 @@ class DTlb {
   }
 
   void CountHit() { ++stats_.hits; }
-  // Batched variant for the trace executor, which accumulates pinned-path
-  // hits in a register and flushes once per trace exit.
-  void CountHits(u64 n) { stats_.hits += n; }
   void CountMiss() { ++stats_.misses; }
-
-  // Monotone counter bumped by anything that can kill or replace a live
-  // entry from within the D-TLB itself: fills (conflict replacement) and
-  // hardware-TLB-driven evictions. Together with Tlb::change_count() (which
-  // covers every mapping change) this lets the trace tier's translation
-  // pins prove "the entry I copied is still the live entry for this set"
-  // with one compare instead of a probe.
-  u64 mutation_count() const { return stats_.fills + stats_.evictions; }
 
   const Stats& stats() const { return stats_; }
 

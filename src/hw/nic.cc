@@ -153,15 +153,13 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
     } else if (DmaRxFrame(queue, queue.arrivals.front().frame)) {
       if (recorder_ != nullptr) {
         recorder_->Record(obs_first_track_ + q, at, obs::EventType::kFrameDma,
-                          obs::EventClass::kArch, q,
-                          static_cast<u32>(queue.arrivals.front().frame.size()));
+                          q, static_cast<u32>(queue.arrivals.front().frame.size()));
       }
       if (queue.rx_irq_enabled) {
         if (rx_irq_moderation_ == 0) {
           if (queue.pic != nullptr) queue.pic->Raise(queue.rx_irq);
           if (recorder_ != nullptr) {
-            recorder_->Record(obs_first_track_ + q, at, obs::EventType::kIrqRaise,
-                              obs::EventClass::kArch, queue.rx_irq, q);
+            recorder_->Record(obs_first_track_ + q, at, obs::EventType::kIrqRaise, queue.rx_irq, q);
           }
         } else if (queue.rx_irq_due == kIdle) {
           // ITR: arm the moderation timer — the first DMA after a quiet
@@ -186,8 +184,7 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
       queue.pic->Raise(queue.rx_irq);
       if (recorder_ != nullptr) {
         recorder_->Record(obs_first_track_ + q, queue.rx_irq_due,
-                          obs::EventType::kIrqRaise, obs::EventClass::kArch,
-                          queue.rx_irq, q);
+                          obs::EventType::kIrqRaise, queue.rx_irq, q);
       }
     }
     queue.rx_irq_gate = queue.rx_irq_due + rx_irq_moderation_;
@@ -198,8 +195,7 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
     const u64 at = queue.tx_complete_at.front();
     const u32 sent = CompleteOneTx(queue);
     if (recorder_ != nullptr) {
-      recorder_->Record(obs_first_track_ + q, at, obs::EventType::kFrameTx,
-                        obs::EventClass::kArch, q, sent);
+      recorder_->Record(obs_first_track_ + q, at, obs::EventType::kFrameTx, q, sent);
     }
     queue.tx_complete_at.pop_front();
     completed = true;
@@ -210,8 +206,7 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
       if (queue.pic != nullptr) queue.pic->Raise(queue.tx_irq);
       ++stats_.tx_completion_irqs;
       if (recorder_ != nullptr) {
-        recorder_->Record(obs_first_track_ + q, now, obs::EventType::kIrqRaise,
-                          obs::EventClass::kArch, queue.tx_irq, q);
+        recorder_->Record(obs_first_track_ + q, now, obs::EventType::kIrqRaise, queue.tx_irq, q);
       }
     } else {
       ++stats_.tx_irqs_suppressed;

@@ -37,8 +37,8 @@ class PhysicalMemory {
   //  - Registration and removal are machine-setup / machine-teardown
   //    operations (Cpu constructor/destructor). They must happen while no
   //    other thread is running simulated code — threaded epochs never add or
-  //    remove observers, which is also why the trace tier may cache
-  //    sole_write_observer() as a loop invariant.
+  //    remove observers, which is also why the CPU's store path may treat
+  //    sole_write_observer() as stable while simulated code runs.
   static constexpr u32 kMaxObservers = 16;
 
   // One per host thread in threaded SMP mode. While a lane is active on a

@@ -104,19 +104,11 @@ void EpochBarrier::Release() {
 
 ThreadedSmp::ThreadedSmp(Machine& machine, u64 epoch_cycles)
     : machine_(machine),
-      epoch_cycles_(epoch_cycles),
+      epoch_cycles_(epoch_cycles != 0 ? epoch_cycles : kDefaultEpochCycles),
       barrier_(machine.num_cpus()),
       parked_(machine.num_cpus()),
       lanes_(machine.num_cpus()),
-      remote_(machine.num_cpus()) {
-  if (epoch_cycles_ == 0) {
-    epoch_cycles_ = kDefaultEpochCycles;
-    if (const char* v = std::getenv("PALLADIUM_EPOCH_CYCLES")) {
-      const u64 parsed = std::strtoull(v, nullptr, 10);
-      if (parsed > 0) epoch_cycles_ = parsed;
-    }
-  }
-}
+      remote_(machine.num_cpus()) {}
 
 void ThreadedSmp::AddEvent(u64 cycle, EventFn fn) {
   events_.push_back(Event{cycle, next_seq_++, std::move(fn), false});

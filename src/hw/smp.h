@@ -153,8 +153,7 @@ class ThreadedSmp {
   // "A few thousand simulated cycles": long enough to amortize the barrier
   // (a handful of microseconds) over tens of microseconds of simulation,
   // short enough that cross-CPU delivery latency stays bounded and IRQ-rich
-  // workloads don't starve. Overridable per-instance and via
-  // PALLADIUM_EPOCH_CYCLES for experiments.
+  // workloads don't starve. Overridable per instance (0 picks this default).
   static constexpr u64 kDefaultEpochCycles = 4096;
 
   explicit ThreadedSmp(Machine& machine, u64 epoch_cycles = 0);

@@ -43,7 +43,7 @@ void FillExecInfo(DecodedInsn& d, const CycleModel::CostTable& costs) {
   d.cost = costs.base[op];
 }
 
-DecodeCache::Page* DecodeCache::GetOrBuild(const PhysicalMemory& pm, u32 frame) {
+const DecodeCache::Page* DecodeCache::GetOrBuild(const PhysicalMemory& pm, u32 frame) {
   // Safe point: no decoded instruction is mid-execution while the CPU is
   // fetching, so pages retired by earlier invalidations can really be freed.
   retired_.clear();

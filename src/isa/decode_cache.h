@@ -38,7 +38,6 @@
 #include "src/hw/physical_memory.h"
 #include "src/hw/types.h"
 #include "src/isa/insn.h"
-#include "src/isa/uop.h"
 
 namespace palladium {
 
@@ -103,9 +102,6 @@ struct DecodedInsn {
   u8 run_len = 1;       // straight-line slots executable from here (>= 1)
   u32 cost = 1;         // base retire cost from the CPU's cost table
   u32 run_cost_max = 0; // pre-summed cycle upper bound for the whole run
-  // --- Hot-trace tier (mutated by the CPU, reset with the page) -------------
-  u16 hot = 0;          // run-head executions seen; promotion counter
-  u16 trace = kTraceNone;  // index into Page::traces, or a kTrace* sentinel
   Insn insn;
 };
 
@@ -129,13 +125,6 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
 
   struct Page {
     std::array<DecodedInsn, kSlotsPerPage> slots;
-    // Lowered hot-run traces, indexed by DecodedInsn::trace of the run's
-    // head slot. Owned by the page: every invalidation source (write
-    // observer, frame eviction, capacity retirement, cost-model rebuild)
-    // demotes the page's traces by killing the page itself. Like the page,
-    // a trace stays allocated until the next GetOrBuild, so a store that
-    // retires the currently-executing trace cannot free it mid-run.
-    std::vector<std::unique_ptr<Trace>> traces;
   };
 
   struct Stats {
@@ -153,9 +142,8 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   // building it on first use. The pointer stays valid until the *next* call
   // to GetOrBuild — invalidated pages are retired, not freed, so an
   // instruction that modifies its own page keeps a live decode of itself
-  // until the CPU fetches again. Non-const: the CPU's trace tier bumps
-  // per-slot hotness counters and attaches lowered traces in place.
-  Page* GetOrBuild(const PhysicalMemory& pm, u32 frame);
+  // until the CPU fetches again.
+  const Page* GetOrBuild(const PhysicalMemory& pm, u32 frame);
 
   // PhysicalMemory::WriteObserver: kills the decoded image of every page the
   // write touches. O(1) per untracked page (a bitmap probe); inline so the
@@ -185,14 +173,6 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   // staged shootdown checks. Release on the bump / acquire on the read
   // orders the retire itself before any observed generation change.
   u64 generation() const { return generation_.load(std::memory_order_acquire); }
-
-  // Direct view of the has-code bitmap for the trace executor's store fast
-  // path: a zero byte proves OnPhysicalWrite would be a no-op for that page,
-  // so the post-store generation re-check can be skipped entirely. The
-  // pointer is stable across a trace body — only Populate (instruction
-  // fetch, never inside a body) grows the vector.
-  const u8* has_code_data() const { return has_code_.data(); }
-  u32 has_code_pages() const { return static_cast<u32>(has_code_.size()); }
 
   const Stats& stats() const { return stats_; }
 

@@ -185,8 +185,7 @@ void Kernel::SendIpi(u32 target_cpu, u32 ipi_irq) {
   if (recorder_ != nullptr) {
     const u32 cur_cpu = machine_.current_cpu_index();
     recorder_->Record(cur_cpu, machine_.cpu(cur_cpu).cycles(),
-                      obs::EventType::kIrqRaise, obs::EventClass::kArch,
-                      ipi_irq, target_cpu);
+                      obs::EventType::kIrqRaise, ipi_irq, target_cpu);
   }
 }
 
@@ -226,8 +225,7 @@ void Kernel::ShootdownPage(u32 cr3, u32 linear) {
     ++smp_stats_.shootdown_pages;
     if (recorder_ != nullptr) {
       recorder_->Record(cur_cpu, machine_.cpu(cur_cpu).cycles(),
-                        obs::EventType::kTlbShootdown, obs::EventClass::kArch,
-                        PageNumber(linear), remote);
+                        obs::EventType::kTlbShootdown, PageNumber(linear), remote);
     }
   }
 }
@@ -662,8 +660,7 @@ void Kernel::SwitchTo(Process& proc) {
   Charge(config_.costs.context_switch);
   if (recorder_ != nullptr) {
     const u32 cur_cpu = machine_.current_cpu_index();
-    recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kContextSwitch,
-                      obs::EventClass::kArch, proc.pid, 0);
+    recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kContextSwitch, proc.pid, 0);
   }
 }
 
@@ -701,8 +698,7 @@ bool Kernel::HandleIrqFromGate(u32 irq, bool in_kernel_context) {
   Charge(config_.costs.irq_dispatch);
   fabric_[cur_cpu]->pic.Eoi();
   if (recorder_ != nullptr) {
-    recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kIrqEoi,
-                      obs::EventClass::kArch, irq, 0);
+    recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kIrqEoi, irq, 0);
   }
   // Hardware interrupts are transparent: restore the interrupted context
   // before any kernel work, so handlers (which are host code) see the
@@ -739,8 +735,7 @@ void Kernel::ServicePendingIrqsHostSide() {
     const obs::Category prev_cat = ProfileSet(obs::Category::kIrq);
     pic.Eoi();
     if (recorder_ != nullptr) {
-      recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kIrqEoi,
-                        obs::EventClass::kArch, irq, 0);
+      recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kIrqEoi, irq, 0);
     }
     if (irq == kIrqIpiShootdown || irq == kIrqIpiResched) ++smp_stats_.ipis_received;
     // No watchdog/preemption while idle (there is no current process), but

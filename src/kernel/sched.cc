@@ -156,11 +156,12 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
   proc->home_cpu = c;
   Cpu& cpu = m.cpu(c);
   // Causality: a process enqueued at cycle S on another core cannot start
-  // before S on this one; an idle core's lagging clock snaps forward.
+  // before S on this one; an idle core's lagging clock snaps forward. The
+  // skipped span is idle time on this core, in the stats as in the profile.
   if (stamp > cpu.cycles()) {
+    stats_.idle_cycles += stamp - cpu.cycles();
     obs::CycleProfile* prof = kernel_.profiler();
     if (prof != nullptr && prof->enabled()) {
-      // The skipped span is idle time on this core, not kernel work.
       prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kIdle);
       cpu.set_cycles(stamp);
       prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kKernel);

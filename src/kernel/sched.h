@@ -50,7 +50,8 @@ class Scheduler {
     u64 yields_or_blocks = 0;  // voluntary departures (yield, blocking syscall)
     u64 timer_ticks = 0;       // timer IRQs observed while scheduling
     u64 idle_jumps = 0;        // machine-idle fast-forwards to a device event
-    u64 idle_cycles = 0;       // cycles vCPUs skipped while parked (per-core idle)
+    u64 idle_cycles = 0;       // cycles vCPUs skipped while parked or snapped
+                               // forward at dispatch (per-core idle)
     u64 steals = 0;            // cross-CPU work-steals
   };
   struct CpuStats {

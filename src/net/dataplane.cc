@@ -192,7 +192,7 @@ bool PacketDataplane::UpgradeFlow(const std::string& name, const std::string& fi
   flow->batch_function_id = cf->batch_function_id;
   flow->has_batch = cf->has_batch;
   flow->batch_stride = cf->batch_stride;
-  // Retire the old image: pages unmapped and freed, decode/trace entries
+  // Retire the old image: pages unmapped and freed, decoded pages
   // evicted on every vCPU, TLBs/D-TLBs shot down, region reusable.
   kext_.UnloadExtension(old_ext);
   ++stats_.flow_upgrades;
@@ -260,8 +260,7 @@ bool PacketDataplane::Deliver(FlowInfo& flow, const std::vector<u8>& frame) {
     ++stats_.delivered;
     if (obs::FlightRecorder* rec = kernel_.recorder()) {
       rec->Record(kernel_.machine().current_cpu_index(),
-                  kernel_.machine().cpu().cycles(), obs::EventType::kFrameEnqueue,
-                  obs::EventClass::kArch, pid,
+                  kernel_.machine().cpu().cycles(), obs::EventType::kFrameEnqueue, pid,
                   static_cast<u32>(proc->pkt_queue.size()));
     }
     if (proc->state == ProcessState::kBlocked && proc->waiting_packet) {
@@ -375,8 +374,7 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
       if (first_match[i] >= 0) ++matched;
     }
     rec->Record(kernel_.machine().current_cpu_index(),
-                kernel_.machine().cpu().cycles(), obs::EventType::kFrameClassify,
-                obs::EventClass::kArch, n, matched);
+                kernel_.machine().cpu().cycles(), obs::EventType::kFrameClassify, n, matched);
   }
   for (u32 i = 0; i < n; ++i) {
     Process* blocker = nullptr;
@@ -452,7 +450,7 @@ void PacketDataplane::PollQueue(u32 q) {
                    static_cast<u32>(batch.size()) * kernel_.costs().napi_per_frame);
     if (obs::FlightRecorder* rec = kernel_.recorder()) {
       rec->Record(cpu, kernel_.machine().cpu().cycles(), obs::EventType::kNapiPoll,
-                  obs::EventClass::kArch, q, static_cast<u32>(batch.size()));
+                  q, static_cast<u32>(batch.size()));
     }
     if (config_.rps) {
       for (std::vector<u8>& frame : batch) {
@@ -606,8 +604,7 @@ void PacketDataplane::SysPktRecv(u32 buf, u32 cap, u32 flags) {
   proc.pkt_queue.pop_front();
   if (obs::FlightRecorder* rec = kernel_.recorder()) {
     rec->Record(kernel_.machine().current_cpu_index(),
-                kernel_.machine().cpu().cycles(), obs::EventType::kFrameRecv,
-                obs::EventClass::kArch, proc.pid, n);
+                kernel_.machine().cpu().cycles(), obs::EventType::kFrameRecv, proc.pid, n);
   }
   kernel_.ReturnFromGate(n);
 }

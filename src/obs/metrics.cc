@@ -35,12 +35,6 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
   Counter(p + "block.entries", cpu.block_stats().entries);
   Counter(p + "block.insns", cpu.block_stats().insns);
   Counter(p + "block.chains", cpu.block_stats().chains);
-  Counter(p + "trace.promotions", cpu.trace_stats().promotions);
-  Counter(p + "trace.entries", cpu.trace_stats().entries);
-  Counter(p + "trace.uop_insns", cpu.trace_stats().uop_insns);
-  Counter(p + "trace.flag_materializations",
-          cpu.trace_stats().flag_materializations);
-  Counter(p + "trace.probes_elided", cpu.trace_stats().probes_elided);
 }
 
 void MetricsRegistry::CollectSched(const Scheduler& sched, u32 num_cpus) {

@@ -1,12 +1,12 @@
 // MetricsRegistry: one process-wide registry of named counters/gauges that
 // federates the per-subsystem stats structs scattered across the machine —
-// CPU cycle/retire/TLB/D-TLB counters, decode-cache generations, block- and
-// trace-engine counters, per-CPU scheduler stats, NIC per-queue ring/IRQ
+// CPU cycle/retire/TLB/D-TLB counters, decode-cache generations, block-
+// engine counters, per-CPU scheduler stats, NIC per-queue ring/IRQ
 // stats, dataplane crossing/drop accounting, SMP shootdown counters — behind
 // one flat, sorted name -> value map and one `SnapshotJson()`.
 //
 // Naming scheme: `<subsystem>[<index>].<group>.<counter>`, e.g.
-//   cpu0.tlb.misses, cpu0.trace.promotions, sched.preemptions,
+//   cpu0.tlb.misses, cpu0.block.chains, sched.preemptions,
 //   sched.cpu1.steals, nic.q0.rx_frames, dataplane.filter_batches,
 //   kernel.smp.shootdown_ipis, obs.trace.dropped_events.
 // Benches emit the snapshot into their BENCH_*.json metrics object with an

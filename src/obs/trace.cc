@@ -22,10 +22,6 @@ const char* EventTypeName(EventType t) {
       return "context_switch";
     case EventType::kTlbShootdown:
       return "tlb_shootdown";
-    case EventType::kTraceCompile:
-      return "trace_compile";
-    case EventType::kTraceInvalidate:
-      return "trace_invalidate";
     case EventType::kNapiPoll:
       return "napi_poll";
     case EventType::kFrameDma:
@@ -62,14 +58,6 @@ std::vector<Event> FlightRecorder::Events(u32 track) const {
   return out;
 }
 
-std::vector<Event> FlightRecorder::ArchEvents(u32 track) const {
-  std::vector<Event> out;
-  for (const Event& e : Events(track)) {
-    if (e.cls == EventClass::kArch) out.push_back(e);
-  }
-  return out;
-}
-
 u64 FlightRecorder::TotalDropped() const {
   u64 sum = 0;
   for (const Track& t : tracks_) sum += t.dropped;
@@ -88,9 +76,8 @@ std::string FlightRecorder::ToJsonl() const {
   for (u32 i = 0; i < num_tracks(); ++i) {
     for (const Event& e : Events(i)) {
       out << "{\"track\":" << i << ",\"cycle\":" << e.cycle << ",\"type\":\""
-          << EventTypeName(e.type) << "\",\"cls\":\""
-          << (e.cls == EventClass::kArch ? "arch" : "engine")
-          << "\",\"arg0\":" << e.arg0 << ",\"arg1\":" << e.arg1 << "}\n";
+          << EventTypeName(e.type) << "\",\"arg0\":" << e.arg0 << ",\"arg1\":" << e.arg1
+          << "}\n";
     }
   }
   return out.str();

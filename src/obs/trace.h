@@ -3,13 +3,10 @@
 // (the NIC). When a ring wraps, the oldest events are dropped and counted
 // in an explicit per-track `dropped_events` counter, never silently.
 //
-// Events carry a class bit:
-//   kArch   — architecturally determined: for the same program and seed the
-//             stream is byte-identical across every engine mode
-//             ({blocks, trace, D-TLB} on/off) — asserted by the differential
-//             fuzz and tests/obs_test.cc.
-//   kEngine — describes the execution machinery itself (trace-tier
-//             compiles/invalidations) and legitimately differs across modes.
+// Every event is architecturally determined: for the same program and seed
+// the stream is byte-identical across every engine mode ({blocks, decode
+// cache, D-TLB} on/off) — asserted by the differential fuzz and
+// tests/obs_test.cc.
 //
 // Recording never touches the simulated clock, so an attached recorder is
 // invisible to the machine ("observation is free in simulated time").
@@ -35,8 +32,6 @@ enum class EventType : u8 {
   kCrossingExit,    // crossing returned/aborted          {function_id, ok}
   kContextSwitch,   // scheduler dispatched a process     {pid, 0}
   kTlbShootdown,    // cross-CPU TLB shootdown            {page, remote_cpus}
-  kTraceCompile,    // hot run lowered to a uop trace     {eip, run_len}
-  kTraceInvalidate, // hot trace died to a code write     {eip, 0}
   kNapiPoll,        // NAPI poll batch drained            {queue, frames}
   kFrameDma,        // NIC DMA'd a frame into the ring    {queue, bytes}
   kFrameClassify,   // filter classified a frame batch    {frames, matched}
@@ -44,22 +39,18 @@ enum class EventType : u8 {
   kFrameRecv,       // worker picked the frame up (pkt_recv) {pid, bytes}
   kFrameTx,         // response hit the TX ring           {queue, bytes}
 };
-inline constexpr u32 kNumEventTypes = 15;
+inline constexpr u32 kNumEventTypes = 13;
 
 const char* EventTypeName(EventType t);
-
-enum class EventClass : u8 { kArch = 0, kEngine };
 
 struct Event {
   u64 cycle = 0;
   u32 arg0 = 0;
   u32 arg1 = 0;
   EventType type = EventType::kIrqRaise;
-  EventClass cls = EventClass::kArch;
 
   bool operator==(const Event& o) const {
-    return cycle == o.cycle && arg0 == o.arg0 && arg1 == o.arg1 &&
-           type == o.type && cls == o.cls;
+    return cycle == o.cycle && arg0 == o.arg0 && arg1 == o.arg1 && type == o.type;
   }
   bool operator!=(const Event& o) const { return !(*this == o); }
 };
@@ -84,23 +75,20 @@ class FlightRecorder {
   // own track, so concurrent epochs are race-free without locks as long as
   // that ownership holds. Reset/SetTrackName and cross-track readers
   // (Events, TotalDropped, ToJsonl) are setup/teardown-time only.
-  void Record(u32 track, u64 cycle, EventType type, EventClass cls,
-              u32 arg0 = 0, u32 arg1 = 0) {
+  void Record(u32 track, u64 cycle, EventType type, u32 arg0 = 0, u32 arg1 = 0) {
     Track& t = tracks_[track];
     ++t.total;
     if (t.ring.size() < capacity_) {
-      t.ring.push_back(Event{cycle, arg0, arg1, type, cls});
+      t.ring.push_back(Event{cycle, arg0, arg1, type});
       return;
     }
-    t.ring[t.head] = Event{cycle, arg0, arg1, type, cls};
+    t.ring[t.head] = Event{cycle, arg0, arg1, type};
     t.head = (t.head + 1) % capacity_;
     ++t.dropped;
   }
 
   // Events on `track` in record order (oldest surviving first).
   std::vector<Event> Events(u32 track) const;
-  // Only the architecturally-determined (mode-invariant) events.
-  std::vector<Event> ArchEvents(u32 track) const;
 
   u64 dropped_events(u32 track) const { return tracks_[track].dropped; }
   u64 recorded_events(u32 track) const { return tracks_[track].total; }

@@ -315,12 +315,8 @@ TEST(BlockEngine, CycleLimitSlicesLandOnIdenticalBoundaries) {
 TEST(BlockEngine, LoopChainsWithoutLeavingDispatch) {
   BareMachine bm;
   // This test is about the engine itself; override the PALLADIUM_NO_BLOCKS
-  // oracle so it still observes block dispatch under the CI oracle matrix,
-  // and pin the trace tier off — once the loop goes hot the trace executor
-  // iterates in place without chaining, which is exactly what this test
-  // must not measure.
+  // oracle so it still observes block dispatch under the CI oracle matrix.
   bm.cpu().set_block_engine_enabled(true);
-  bm.cpu().set_trace_engine_enabled(false);
   std::string diag;
   auto img = bm.LoadProgram(R"(
   .global main
@@ -342,6 +338,68 @@ loop:
   EXPECT_LE(bs.entries, 8u) << "a steady loop re-enters block dispatch rarely";
   EXPECT_GE(bs.insns, bm.cpu().instructions_retired() - 8)
       << "nearly all instructions should retire inside block dispatch";
+}
+
+// A page fault raised by a store in the middle of a block run, long after
+// the loop went steady-state in block dispatch, must leave exactly the
+// state StepOne leaves: EIP on the store, the EFLAGS written by the `add`
+// just before it, every earlier instruction's cycles charged and nothing
+// after it retired.
+TEST(BlockEngine, FaultMidRunMatchesStepOneExactly) {
+  // Stores march toward the end of identity-mapped memory (16 MiB); the
+  // ~256th iteration faults on the first unmapped page. The store is the
+  // second slot of the loop's six-slot run.
+  const std::string source = R"(
+  .global main
+main:
+  mov $0xFFF000, %esi
+  mov $5000, %ecx
+loop:
+  add $3, %eax
+  st %eax, 0(%esi)
+  add $16, %esi
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
+  hlt
+)";
+  struct FaultRun {
+    EngineResult state;
+    u64 tlb_hits = 0;
+    u64 tlb_misses = 0;
+    u64 block_insns = 0;
+  };
+  auto run = [&](bool blocks) {
+    BareMachine bm;
+    bm.cpu().set_block_engine_enabled(blocks);
+    std::string diag;
+    auto img = bm.LoadProgram(source, kCodeBase, &diag);
+    EXPECT_TRUE(img.has_value()) << diag;
+    bm.Start(*img->Lookup("main"), 0, kStackTop);
+    FaultRun r;
+    r.state.stop = bm.Run(10'000'000);
+    r.state.ctx = bm.cpu().SaveContext();
+    r.state.cycles = bm.cpu().cycles();
+    r.state.instructions = bm.cpu().instructions_retired();
+    r.tlb_hits = bm.cpu().tlb_stats().hits;
+    r.tlb_misses = bm.cpu().tlb_stats().misses;
+    r.block_insns = bm.cpu().block_stats().insns;
+    return r;
+  };
+  const FaultRun block = run(/*blocks=*/true);
+  const FaultRun insn = run(/*blocks=*/false);
+  ASSERT_EQ(block.state.stop.reason, StopReason::kFault);
+  ASSERT_EQ(insn.state.stop.reason, StopReason::kFault);
+  EXPECT_EQ(block.state.stop.fault.vector, FaultVector::kPageFault);
+  EXPECT_EQ(block.state.stop.fault.vector, insn.state.stop.fault.vector);
+  EXPECT_EQ(block.state.stop.fault.error_code, insn.state.stop.fault.error_code);
+  EXPECT_EQ(block.state.stop.fault.linear_address, insn.state.stop.fault.linear_address);
+  ExpectSameState(block.state, insn.state);
+  EXPECT_EQ(block.tlb_hits, insn.tlb_hits) << "TLB statistics diverged";
+  EXPECT_EQ(block.tlb_misses, insn.tlb_misses);
+  EXPECT_GT(block.block_insns, block.state.instructions / 2)
+      << "the loop must have been running in block dispatch when it faulted";
+  EXPECT_EQ(insn.block_insns, 0u);
 }
 
 // The engine switch really selects the per-instruction path.

@@ -400,25 +400,23 @@ struct IrqDiffRun {
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
   std::vector<u8> memory;
-  // Architectural flight-recorder stream: tracing+profiling run fully
-  // enabled in every mode, and the kArch events must be byte-identical.
-  std::vector<obs::Event> arch_events;
+  // Flight-recorder stream: tracing+profiling run fully enabled in every
+  // mode, and the events must be byte-identical.
+  std::vector<obs::Event> events;
 };
 
 IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, bool blocks,
-                              bool trace, bool decode_cache, bool dtlb, u64 timer_period,
+                              bool decode_cache, bool dtlb, u64 timer_period,
                               const std::vector<u64>& nic_times) {
   BareMachineConfig config;
   config.physical_memory_bytes = kFuzzMem;
   BareMachine bm(config);
   bm.cpu().set_block_engine_enabled(blocks);
-  bm.cpu().set_trace_engine_enabled(trace);
   bm.cpu().set_decode_cache_enabled(decode_cache);
   bm.cpu().set_dtlb_enabled(dtlb);
   // Telemetry fully on: observation must be free in simulated time, so the
   // differential assertions below hold with the recorder and profiler
-  // attached. Capacity is sized so nothing wraps (engine-event counts differ
-  // across modes and would otherwise evict different arch events).
+  // attached. Capacity is sized so nothing wraps.
   obs::FlightRecorder recorder;
   recorder.Reset(1, 1u << 16);
   obs::CycleProfile profiler;
@@ -477,11 +475,11 @@ IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, boo
   out.tlb_misses = bm.cpu().tlb_stats().misses;
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
-  out.arch_events = recorder.ArchEvents(0);
+  out.events = recorder.Events(0);
   return out;
 }
 
-TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
+TEST(IrqDifferential, AllEightModesAgreeUnderRandomInterrupts) {
   constexpr u32 kSeeds = 16;
   constexpr u32 kIterations = 300;
   constexpr u32 kBodyLen = 160;
@@ -500,35 +498,22 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
     }
 
     struct ModeSpec {
-      bool blocks, trace, decode, dtlb;
+      bool blocks, decode, dtlb;
       const char* name;
     };
-    // Full 16-mode cross: engine (block/insn) x trace tier (hot/off) x
-    // decode cache x D-TLB. The trace axis is inert without the block
-    // engine and decode cache (the tier is entered from RunBlock over a
-    // decoded page), but the inert combinations still pin down that merely
-    // enabling the tier changes nothing.
-    const ModeSpec specs[] = {{true, true, true, true, "block+trace/fast/fast"},
-                              {true, true, true, false, "block+trace/fast/oracle"},
-                              {true, true, false, true, "block+trace/oracle/fast"},
-                              {true, true, false, false, "block+trace/oracle/oracle"},
-                              {true, false, true, true, "block/fast/fast"},
-                              {true, false, true, false, "block/fast/oracle"},
-                              {true, false, false, true, "block/oracle/fast"},
-                              {true, false, false, false, "block/oracle/oracle"},
-                              {false, true, true, true, "insn+trace/fast/fast"},
-                              {false, true, true, false, "insn+trace/fast/oracle"},
-                              {false, true, false, true, "insn+trace/oracle/fast"},
-                              {false, true, false, false, "insn+trace/oracle/oracle"},
-                              {false, false, true, true, "insn/fast/fast"},
-                              {false, false, true, false, "insn/fast/oracle"},
-                              {false, false, false, true, "insn/oracle/fast"},
-                              {false, false, false, false, "insn/oracle/oracle"}};
+    // Full 8-mode cross: engine (block/insn) x decode cache x D-TLB.
+    const ModeSpec specs[] = {{true, true, true, "block/fast/fast"},
+                              {true, true, false, "block/fast/oracle"},
+                              {true, false, true, "block/oracle/fast"},
+                              {true, false, false, "block/oracle/oracle"},
+                              {false, true, true, "insn/fast/fast"},
+                              {false, true, false, "insn/fast/oracle"},
+                              {false, false, true, "insn/oracle/fast"},
+                              {false, false, false, "insn/oracle/oracle"}};
     IrqDiffRun ref;
-    for (int s = 0; s < 16; ++s) {
-      IrqDiffRun run = RunDifferentialIrq(program, mode, specs[s].blocks, specs[s].trace,
-                                          specs[s].decode, specs[s].dtlb, timer_period,
-                                          nic_times);
+    for (int s = 0; s < 8; ++s) {
+      IrqDiffRun run = RunDifferentialIrq(program, mode, specs[s].blocks, specs[s].decode,
+                                          specs[s].dtlb, timer_period, nic_times);
       SCOPED_TRACE("seed " + std::to_string(seed) + " config " + specs[s].name);
       if (s == 0) {
         ref = std::move(run);
@@ -552,13 +537,12 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
             << "irq " << i << " diverged: vector " << static_cast<int>(run.irqs[i].vector)
             << " at cycle " << run.irqs[i].cycle << " vs " << ref.irqs[i].cycle;
       }
-      ASSERT_EQ(run.arch_events.size(), ref.arch_events.size())
-          << "flight-recorder arch streams differ in length";
-      for (size_t i = 0; i < run.arch_events.size(); ++i) {
-        EXPECT_TRUE(run.arch_events[i] == ref.arch_events[i])
-            << "arch event " << i << " (" << EventTypeName(run.arch_events[i].type)
-            << ") diverged at cycle " << run.arch_events[i].cycle << " vs "
-            << ref.arch_events[i].cycle;
+      ASSERT_EQ(run.events.size(), ref.events.size())
+          << "flight-recorder streams differ in length";
+      for (size_t i = 0; i < run.events.size(); ++i) {
+        EXPECT_TRUE(run.events[i] == ref.events[i])
+            << "event " << i << " (" << EventTypeName(run.events[i].type)
+            << ") diverged at cycle " << run.events[i].cycle << " vs " << ref.events[i].cycle;
       }
       EXPECT_EQ(run.ctx.eip, ref.ctx.eip);
       EXPECT_EQ(run.ctx.eflags, ref.ctx.eflags);
@@ -613,7 +597,7 @@ struct SmpCpuResult {
   CpuContext ctx;
   u64 cycles = 0;
   u64 instructions = 0;
-  std::vector<obs::Event> arch_events;
+  std::vector<obs::Event> events;
 };
 
 struct SmpDiffRun {
@@ -622,7 +606,7 @@ struct SmpDiffRun {
 };
 
 SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, FuzzMode mode,
-                              bool blocks, bool trace, bool decode_cache, bool dtlb,
+                              bool blocks, bool decode_cache, bool dtlb,
                               const std::vector<u64>& shootdown_cycles) {
   const u32 n = static_cast<u32>(programs.size());
   BareMachineConfig config;
@@ -639,7 +623,6 @@ SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, Fuzz
   profiler.Reset(n, m.cpu(0).cycle_model().tlb_miss_penalty);
   for (u32 c = 0; c < n; ++c) {
     m.cpu(c).set_block_engine_enabled(blocks);
-    m.cpu(c).set_trace_engine_enabled(trace);
     m.cpu(c).set_decode_cache_enabled(decode_cache);
     m.cpu(c).set_dtlb_enabled(dtlb);
     m.cpu(c).set_recorder(&recorder, c);
@@ -701,7 +684,7 @@ SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, Fuzz
     out.cpus[c].ctx = m.cpu(c).SaveContext();
     out.cpus[c].cycles = m.cpu(c).cycles();
     out.cpus[c].instructions = m.cpu(c).instructions_retired();
-    out.cpus[c].arch_events = recorder.ArchEvents(c);
+    out.cpus[c].events = recorder.Events(c);
   }
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
@@ -735,44 +718,30 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
       }
 
       struct ModeSpec {
-        bool blocks, trace, decode, dtlb;
+        bool blocks, decode, dtlb;
         const char* name;
       };
-      // Full 16-mode cross at N=1; the block-engine and trace-tier
-      // dimensions are spot-checked against the per-instruction and
-      // full-oracle configurations at N=2/4 (each extra SMP mode multiplies
-      // the interleaved run count).
-      const ModeSpec uni_specs[] = {
-          {true, true, true, true, "block+trace/fast/fast"},
-          {true, true, true, false, "block+trace/fast/oracle"},
-          {true, true, false, true, "block+trace/oracle/fast"},
-          {true, true, false, false, "block+trace/oracle/oracle"},
-          {true, false, true, true, "block/fast/fast"},
-          {true, false, true, false, "block/fast/oracle"},
-          {true, false, false, true, "block/oracle/fast"},
-          {true, false, false, false, "block/oracle/oracle"},
-          {false, true, true, true, "insn+trace/fast/fast"},
-          {false, true, true, false, "insn+trace/fast/oracle"},
-          {false, true, false, true, "insn+trace/oracle/fast"},
-          {false, true, false, false, "insn+trace/oracle/oracle"},
-          {false, false, true, true, "insn/fast/fast"},
-          {false, false, true, false, "insn/fast/oracle"},
-          {false, false, false, true, "insn/oracle/fast"},
-          {false, false, false, false, "insn/oracle/oracle"}};
-      const ModeSpec smp_specs[] = {
-          {true, true, true, true, "block+trace/fast/fast"},
-          {true, true, true, false, "block+trace/fast/oracle"},
-          {true, false, true, true, "block/fast/fast"},
-          {true, false, true, false, "block/fast/oracle"},
-          {false, true, true, true, "insn+trace/fast/fast"},
-          {false, false, true, true, "insn/fast/fast"},
-          {false, false, false, false, "insn/oracle/oracle"}};
+      // Full 8-mode cross at N=1; the block-engine dimension is spot-checked
+      // against the per-instruction and full-oracle configurations at N=2/4
+      // (each extra SMP mode multiplies the interleaved run count).
+      const ModeSpec uni_specs[] = {{true, true, true, "block/fast/fast"},
+                                    {true, true, false, "block/fast/oracle"},
+                                    {true, false, true, "block/oracle/fast"},
+                                    {true, false, false, "block/oracle/oracle"},
+                                    {false, true, true, "insn/fast/fast"},
+                                    {false, true, false, "insn/fast/oracle"},
+                                    {false, false, true, "insn/oracle/fast"},
+                                    {false, false, false, "insn/oracle/oracle"}};
+      const ModeSpec smp_specs[] = {{true, true, true, "block/fast/fast"},
+                                    {true, true, false, "block/fast/oracle"},
+                                    {false, true, true, "insn/fast/fast"},
+                                    {false, false, false, "insn/oracle/oracle"}};
       const ModeSpec* specs = n == 1 ? uni_specs : smp_specs;
-      const int num_specs = n == 1 ? 16 : 7;
+      const int num_specs = n == 1 ? 8 : 4;
       SmpDiffRun ref;
       for (int s = 0; s < num_specs; ++s) {
-        SmpDiffRun run = RunSmpDifferential(programs, mode, specs[s].blocks, specs[s].trace,
-                                            specs[s].decode, specs[s].dtlb, shootdowns);
+        SmpDiffRun run = RunSmpDifferential(programs, mode, specs[s].blocks, specs[s].decode,
+                                            specs[s].dtlb, shootdowns);
         SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
                      " config " + specs[s].name);
         if (s == 0) {
@@ -808,11 +777,10 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
           for (u8 r = 0; r < kNumRegs; ++r) {
             EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
           }
-          ASSERT_EQ(a.arch_events.size(), b.arch_events.size())
-              << "flight-recorder arch streams differ in length";
-          for (size_t i = 0; i < a.arch_events.size(); ++i) {
-            EXPECT_TRUE(a.arch_events[i] == b.arch_events[i])
-                << "arch event " << i << " diverged";
+          ASSERT_EQ(a.events.size(), b.events.size())
+              << "flight-recorder streams differ in length";
+          for (size_t i = 0; i < a.events.size(); ++i) {
+            EXPECT_TRUE(a.events[i] == b.events[i]) << "event " << i << " diverged";
           }
         }
         ASSERT_EQ(run.memory.size(), ref.memory.size());

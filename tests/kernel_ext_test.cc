@@ -509,7 +509,7 @@ TEST_F(KextFixture, RepeatedLoadUnloadReclaimsFramesAndRegion) {
 }
 
 // Regression: reloading at a reused linear base must run the *new* image —
-// a stale decode-cache or trace-tier entry from the unloaded extension would
+// a stale decode-cache entry from the unloaded extension would
 // execute v1 code under v2's name. UnmapKernelPage's EvictFrameEverywhere +
 // kernel-range shootdown pin this under every engine/D-TLB/SMP combination.
 TEST_F(KextFixture, ReloadAtReusedBaseRunsNewCode) {

@@ -2,9 +2,9 @@
 // drops the *oldest* events and counts every drop explicitly), the
 // cycle-attribution profiler's hard invariant (categories sum exactly to
 // the retired-cycle total on every vCPU), and tracer determinism — the same
-// workload yields a byte-identical event stream on a rerun, and the
-// architectural (kArch) stream is invariant across every engine mode
-// ({blocks, trace, D-TLB} oracles) at N=1 and N=4. Observation must be free
+// workload yields a byte-identical event stream on a rerun, and that
+// stream is invariant across every engine mode ({blocks, D-TLB} oracles)
+// at N=1 and N=4. Observation must be free
 // in simulated time, so a fully-instrumented run also has to produce the
 // same served/cycles numbers as a bare one.
 #include <gtest/gtest.h>
@@ -63,8 +63,7 @@ TEST(FlightRecorder, WrapDropsOldestAndCountsExplicitly) {
   obs::FlightRecorder rec;
   rec.Reset(/*num_tracks=*/1, /*capacity=*/8);
   for (u32 i = 0; i < 20; ++i) {
-    rec.Record(0, /*cycle=*/100 + i, obs::EventType::kContextSwitch,
-               obs::EventClass::kArch, /*arg0=*/i);
+    rec.Record(0, /*cycle=*/100 + i, obs::EventType::kContextSwitch, /*arg0=*/i);
   }
   // 20 recorded, 8 survive, 12 oldest dropped — and the drop is loud.
   EXPECT_EQ(rec.recorded_events(0), 20u);
@@ -87,7 +86,7 @@ TEST(FlightRecorder, BelowCapacityDropsNothing) {
   obs::FlightRecorder rec;
   rec.Reset(1, 8);
   for (u32 i = 0; i < 8; ++i) {
-    rec.Record(0, i, obs::EventType::kIrqRaise, obs::EventClass::kArch);
+    rec.Record(0, i, obs::EventType::kIrqRaise);
   }
   EXPECT_EQ(rec.recorded_events(0), 8u);
   EXPECT_EQ(rec.dropped_events(0), 0u);
@@ -175,16 +174,14 @@ TEST(Observability, RerunByteIdenticalUniprocessor) { ExpectRerunIdentical(1); }
 
 TEST(Observability, RerunByteIdenticalSmp4) { ExpectRerunIdentical(4); }
 
-// The kArch stream is architecturally determined: switching execution
-// engines ({blocks, trace, D-TLB} oracles) must not move, add, or drop a
-// single architectural event. Engine-class events (trace-tier compiles and
-// invalidations) legitimately differ and are excluded by ArchEvents().
+// The event stream is architecturally determined: switching execution
+// engines ({blocks, D-TLB} oracles) must not move, add, or drop a single
+// event.
 void ExpectArchStreamModeInvariant(u32 smp) {
   ObservedRun baseline;
   RunObserved(SmallConfig(smp), &baseline);
 
-  const char* kModes[] = {"PALLADIUM_NO_BLOCKS", "PALLADIUM_NO_TRACE",
-                          "PALLADIUM_NO_DTLB"};
+  const char* kModes[] = {"PALLADIUM_NO_BLOCKS", "PALLADIUM_NO_DTLB"};
   for (const char* mode : kModes) {
     // The engines latch their env switches at machine construction, which
     // happens inside RunMultiWorkerServer — set before, clear after.
@@ -195,8 +192,8 @@ void ExpectArchStreamModeInvariant(u32 smp) {
 
     ASSERT_EQ(oracle.recorder.num_tracks(), baseline.recorder.num_tracks()) << mode;
     for (u32 t = 0; t < baseline.recorder.num_tracks(); ++t) {
-      EXPECT_EQ(oracle.recorder.ArchEvents(t), baseline.recorder.ArchEvents(t))
-          << "arch stream diverged under " << mode << " on track "
+      EXPECT_EQ(oracle.recorder.Events(t), baseline.recorder.Events(t))
+          << "event stream diverged under " << mode << " on track "
           << baseline.recorder.track_name(t);
     }
     EXPECT_EQ(oracle.result.served, baseline.result.served) << mode;

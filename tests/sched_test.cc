@@ -1,9 +1,11 @@
 // Preemptive-scheduler tests: round-robin interleaving under the hardware
-// timer, voluntary yield, budget exhaustion with clean resume, and the
-// legacy RunProcess path staying intact alongside the scheduler.
+// timer, voluntary yield, budget exhaustion with clean resume, idle-cycle
+// accounting for a cross-vCPU wake, and the legacy RunProcess path staying
+// intact alongside the scheduler.
 #include <gtest/gtest.h>
 
 #include "src/kernel/sched.h"
+#include "src/obs/profile.h"
 #include "tests/kernel_test_util.h"
 
 namespace palladium {
@@ -138,6 +140,78 @@ TEST(Sched, BudgetExhaustionSavesStateAndResumes) {
   auto second = sched.RunAll(~0ull);
   EXPECT_EQ(second.exited, 1u);
   EXPECT_EQ(f.kernel().process(pid)->exit_code, 9);
+}
+
+// A process woken by a sibling vCPU carries the waker's clock as its
+// enqueue stamp; dispatching it on its lagging, idle home vCPU snaps that
+// vCPU's clock forward. The skipped span is idle time, and the scheduler's
+// idle counter must agree with the cycle profile about it.
+TEST(Sched, DispatchClockSnapCountsAsIdle) {
+  KernelFixture f(/*num_cpus=*/2);
+  Scheduler::Config scfg;
+  scfg.work_stealing = false;  // the wakee must run on its home vCPU
+  Scheduler sched(f.kernel(), scfg);
+  obs::CycleProfile profiler;
+  profiler.Reset(2, f.machine().cpu(0).cycle_model().tlb_miss_penalty);
+  f.kernel().AttachObservability(nullptr, &profiler);
+
+  // 233 blocks the caller until 234 has run; 234 wakes the waiter.
+  bool posted = false;
+  Pid waiter = 0;
+  f.kernel().RegisterSyscall(233, [&](Kernel& k, u32, u32, u32) {
+    if (posted) {
+      k.ReturnFromGate(0);
+    } else {
+      k.BlockCurrentForRestart();
+    }
+  });
+  f.kernel().RegisterSyscall(234, [&](Kernel& k, u32, u32, u32) {
+    posted = true;
+    k.WakeProcess(*k.process(waiter));
+    k.ReturnFromGate(0);
+  });
+
+  std::string diag;
+  waiter = f.LoadProgram(R"(
+  .global main
+main:
+  mov $233, %eax
+  int $0x80
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $0x80
+)",
+                         &diag);
+  ASSERT_NE(waiter, 0u) << diag;
+  Pid waker = f.LoadProgram(R"(
+  .global main
+main:
+  mov $20000, %ecx
+spin:
+  dec %ecx
+  cmp $0, %ecx
+  jne spin
+  mov $234, %eax
+  int $0x80
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $0x80
+)",
+                            &diag);
+  ASSERT_NE(waker, 0u) << diag;
+  sched.AddProcess(waker, /*home_cpu=*/0);
+  sched.AddProcess(waiter, /*home_cpu=*/1);
+
+  auto result = sched.RunAll(1'000'000'000ull);
+  for (u32 c = 0; c < 2; ++c) {
+    profiler.Finish(c, f.machine().cpu(c).cycles(), f.machine().cpu(c).tlb_stats().misses);
+  }
+  EXPECT_EQ(result.exited, 2u);
+  EXPECT_TRUE(posted);
+  const u64 profile_idle = profiler.bucket(1, obs::Category::kIdle);
+  EXPECT_GT(profile_idle, 20'000u) << "vCPU 1 must have snapped over the waker's spin";
+  EXPECT_EQ(profiler.bucket(0, obs::Category::kIdle), 0u);
+  EXPECT_EQ(sched.stats().idle_cycles, profile_idle);
 }
 
 TEST(Sched, RunProcessStillWorksWithSchedulerAttached) {

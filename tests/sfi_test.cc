@@ -205,11 +205,12 @@ landing:
   EXPECT_EQ(bm.cpu().reg(Reg::kEsi), 1u) << "jump must land on the masked in-sandbox target";
 }
 
-TEST(SfiExecution, RewrittenHotLoopPromotesToTraceTier) {
-  // A hot sandboxed loop must survive promotion through the block and trace
-  // tiers: the masked address computation (lea/and/or) is exactly the kind
-  // of straight-line arithmetic the trace tier folds, and a divergence here
-  // means the fast tiers execute different semantics than the insn engine.
+TEST(SfiExecution, RewrittenHotLoopAgreesAcrossEngines) {
+  // A hot sandboxed loop must run identically in the superblock engine and
+  // the per-instruction engine: the masked address computation (lea/and/or)
+  // runs as straight-line block interiors with no per-retire checks, and a
+  // divergence here means the block engine executes different semantics
+  // than StepOne.
   const std::string src = R"(
   .global main
 main:
@@ -235,10 +236,17 @@ buf:
   ASSERT_TRUE(rewritten.has_value()) << diag;
   ASSERT_GT(stats.sandboxed_memory_ops, 0u);
 
-  auto run = [&](bool blocks, bool trace, u64* promotions) -> u32 {
+  struct EngineRun {
+    u32 esi = 0;
+    u32 eflags = 0;
+    u64 cycles = 0;
+    u64 instructions = 0;
+    u64 tlb_hits = 0;
+    u64 block_insns = 0;
+  };
+  auto run = [&](bool blocks) {
     BareMachine bm;
     bm.cpu().set_block_engine_enabled(blocks);
-    bm.cpu().set_trace_engine_enabled(trace);
     LinkError lerr;
     auto img = LinkImage(*rewritten, kSandboxBase, {}, &lerr);
     EXPECT_TRUE(img.has_value()) << lerr.message;
@@ -246,16 +254,21 @@ buf:
     bm.Start(*img->Lookup("main"), 0, kSandboxBase + 0x80000);
     StopInfo stop = bm.Run(10'000'000);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
-    *promotions = bm.cpu().trace_stats().promotions;
-    return bm.cpu().reg(Reg::kEsi);
+    return EngineRun{bm.cpu().reg(Reg::kEsi),         bm.cpu().eflags(),
+                     bm.cpu().cycles(),               bm.cpu().instructions_retired(),
+                     bm.cpu().tlb_stats().hits,       bm.cpu().block_stats().insns};
   };
-  u64 oracle_promotions = 0, traced_promotions = 0;
-  const u32 oracle = run(false, false, &oracle_promotions);
-  const u32 traced = run(true, true, &traced_promotions);
-  EXPECT_EQ(oracle, 20100u);  // sum 1..200
-  EXPECT_EQ(traced, oracle) << "trace tier diverges on SFI-rewritten code";
-  EXPECT_EQ(oracle_promotions, 0u);
-  EXPECT_GT(traced_promotions, 0u) << "loop never promoted; test is vacuous";
+  const EngineRun oracle = run(/*blocks=*/false);
+  const EngineRun block = run(/*blocks=*/true);
+  EXPECT_EQ(oracle.esi, 20100u);  // sum 1..200
+  EXPECT_EQ(block.esi, oracle.esi) << "block engine diverges on SFI-rewritten code";
+  EXPECT_EQ(block.eflags, oracle.eflags);
+  EXPECT_EQ(block.cycles, oracle.cycles);
+  EXPECT_EQ(block.instructions, oracle.instructions);
+  EXPECT_EQ(block.tlb_hits, oracle.tlb_hits);
+  EXPECT_EQ(oracle.block_insns, 0u);
+  EXPECT_GT(block.block_insns, block.instructions / 2)
+      << "loop never ran in block dispatch; test is vacuous";
 }
 
 // Regression pin: rewriting an image in place must kill the stale decoded

@@ -92,7 +92,7 @@ struct CpuResult {
   u64 instructions = 0;
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
-  std::vector<obs::Event> arch_events;
+  std::vector<obs::Event> events;
 };
 
 // Per-barrier sample: every vCPU's (cycles, instructions) at the quiesce
@@ -137,7 +137,6 @@ void SetUpRig(Rig& rig, const std::vector<std::vector<u8>>& programs, bool hosti
   rig.profiler.Reset(n, m.cpu(0).cycle_model().tlb_miss_penalty);
   for (u32 c = 0; c < n; ++c) {
     m.cpu(c).set_block_engine_enabled(true);
-    m.cpu(c).set_trace_engine_enabled(true);
     m.cpu(c).set_decode_cache_enabled(true);
     m.cpu(c).set_dtlb_enabled(true);
     m.cpu(c).set_recorder(&rig.recorder, c);
@@ -229,7 +228,7 @@ void Collect(Rig& rig, DiffRun& out) {
     out.cpus[c].instructions = m.cpu(c).instructions_retired();
     out.cpus[c].tlb_hits = m.cpu(c).tlb().stats().hits;
     out.cpus[c].tlb_misses = m.cpu(c).tlb().stats().misses;
-    out.cpus[c].arch_events = rig.recorder.ArchEvents(c);
+    out.cpus[c].events = rig.recorder.Events(c);
   }
   EXPECT_EQ(rig.recorder.TotalDropped(), 0u) << "ring sized too small to compare streams";
   out.memory.assign(rig.bm.pm().HostData(), rig.bm.pm().HostData() + rig.bm.pm().size());
@@ -318,9 +317,9 @@ void ExpectRunsEqual(const DiffRun& threaded, const DiffRun& oracle) {
     for (u8 r = 0; r < kNumRegs; ++r) {
       EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
     }
-    ASSERT_EQ(a.arch_events.size(), b.arch_events.size()) << "arch-event streams differ";
-    for (size_t i = 0; i < a.arch_events.size(); ++i) {
-      EXPECT_TRUE(a.arch_events[i] == b.arch_events[i]) << "arch event " << i << " diverged";
+    ASSERT_EQ(a.events.size(), b.events.size()) << "event streams differ";
+    for (size_t i = 0; i < a.events.size(); ++i) {
+      EXPECT_TRUE(a.events[i] == b.events[i]) << "event " << i << " diverged";
     }
   }
   ASSERT_EQ(threaded.samples.size(), oracle.samples.size());

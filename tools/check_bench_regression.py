@@ -6,15 +6,14 @@ Usage: check_bench_regression.py BASELINE.json FRESH.json [tolerance]
 The JSON format is auto-detected by content:
 
 google-benchmark JSON (bench_simspeed output, a "benchmarks" list). For
-every gated throughput benchmark — block engine (name ending in `_block`),
-hot-trace tier (name ending in `_trace`), and host-parallel SMP (name
-ending in `_threaded`) — the gate checks:
+every gated throughput benchmark — block engine (name ending in `_block`)
+and host-parallel SMP (name ending in `_threaded`) — the gate checks:
 
  1. absolute sim-MIPS against the committed baseline, with `tolerance`
     slack (default 0.20 = 20%, env PALLADIUM_BENCH_MIPS_TOLERANCE);
  2. if the absolute check fails, the *paired in-binary ratio* from the same
-    JSON — block/insn for `_block` names, trace/block for `_trace` names,
-    threaded/interleaved for `_threaded` names —
+    JSON — block/insn for `_block` names, threaded/interleaved for
+    `_threaded` names —
     against the baseline's ratio. A runner that is uniformly slower than
     the machine that produced the baseline moves both engines together and
     keeps the ratio, so only a genuine engine regression (ratio collapse)
@@ -193,8 +192,7 @@ def sim_mips(path):
 # rows gate the threaded harness against the interleaver on the same machine
 # and JSON: a runner with fewer/slower host cores moves both rows together,
 # so only a genuine loss of host-parallel speedup (ratio collapse) fails.
-PAIRED_REFERENCE = {"_block": "_insn", "_trace": "_block",
-                    "_threaded": "_interleaved"}
+PAIRED_REFERENCE = {"_block": "_insn", "_threaded": "_interleaved"}
 
 
 def gated_suffix(name):
@@ -238,12 +236,9 @@ def main():
     fresh = sim_mips(fresh_path)
     gated_names = sorted(n for n in baseline if gated_suffix(n))
     if not gated_names:
-        print(f"FAIL: no block- or trace-engine benchmarks in baseline "
+        print(f"FAIL: no block-engine or threaded benchmarks in baseline "
               f"{baseline_path}")
         return 1
-    if not any(n.endswith("_trace") for n in gated_names):
-        print(f"note: baseline {baseline_path} has no trace-tier benchmarks; "
-              f"gating block engine only")
     failed = False
     for name in gated_names:
         engine = gated_suffix(name).lstrip("_")

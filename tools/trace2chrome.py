@@ -5,7 +5,7 @@ The simulator's FlightRecorder (src/obs/trace.h) writes one JSON object per
 line:
 
   {"meta":"track","track":0,"name":"cpu0","events":123,"dropped":0}   # header
-  {"track":0,"cycle":400,"type":"irq_deliver","cls":"arch","arg0":33,"arg1":0}
+  {"track":0,"cycle":400,"type":"irq_deliver","arg0":33,"arg1":0}
 
 This tool emits the Chrome trace-event format (the "JSON Array Format"),
 loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing. Each
@@ -39,8 +39,6 @@ KNOWN_TYPES = {
     "crossing_exit",
     "context_switch",
     "tlb_shootdown",
-    "trace_compile",
-    "trace_invalidate",
     "napi_poll",
     "frame_dma",
     "frame_classify",
@@ -49,7 +47,7 @@ KNOWN_TYPES = {
     "frame_tx",
 }
 
-EVENT_KEYS = {"track", "cycle", "type", "cls", "arg0", "arg1"}
+EVENT_KEYS = {"track", "cycle", "type", "arg0", "arg1"}
 META_KEYS = {"meta", "track", "name", "events", "dropped"}
 
 
@@ -89,8 +87,6 @@ def validate(path):
             continue
         if obj["type"] not in KNOWN_TYPES:
             errors.append("line %d: unknown event type %r" % (lineno, obj["type"]))
-        if obj["cls"] not in ("arch", "engine"):
-            errors.append("line %d: unknown event class %r" % (lineno, obj["cls"]))
         track = obj["track"]
         referenced.add(track)
         name = track_names.get(track, "")
@@ -128,7 +124,7 @@ def convert(path):
             continue
         track = obj["track"]
         ts = obj["cycle"] / CPU_MHZ
-        base = {"pid": 0, "tid": track, "ts": ts, "cat": obj["cls"]}
+        base = {"pid": 0, "tid": track, "ts": ts, "cat": "sim"}
         etype = obj["type"]
         if etype == "crossing_enter":
             trace_events.append(

@@ -7,10 +7,14 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>  // environ
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,7 +31,9 @@ namespace palladium {
 // Every bench binary writes BENCH_<name>.json (flat metrics object) next to
 // its human-readable table, so CI and trend tooling can consume the numbers
 // without scraping stdout. BENCH_JSON_DIR overrides the output directory
-// (default: the current working directory).
+// (default: the current working directory). A "context" object fingerprints
+// the host and build the numbers came from, so host-time metrics are never
+// compared across machines unknowingly.
 
 inline std::string BenchJsonPath(const std::string& bench_name) {
   const char* dir = std::getenv("BENCH_JSON_DIR");
@@ -51,11 +57,22 @@ class BenchJson {
     metrics_.emplace_back(key, std::to_string(value));
   }
 
-  // Writes {"bench": <name>, "metrics": {...}}; returns the path.
+  // Writes {"bench": <name>, "context": {...}, "metrics": {...}}; returns
+  // the path.
   std::string Write() const {
     const std::string path = BenchJsonPath(name_);
     std::ofstream out(path);
-    out << "{\n  \"bench\": \"" << name_ << "\",\n  \"metrics\": {\n";
+    out << "{\n  \"bench\": \"" << name_ << "\",\n  \"context\": {\n";
+    out << "    \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
+    // PALLADIUM_BUILD_TYPE is the CMake build type, set by CMakeLists.txt.
+    out << "    \"build_type\": " << Quote(PALLADIUM_BUILD_TYPE) << ",\n";
+    out << "    \"compiler\": " << Quote(Compiler()) << ",\n";
+    out << "    \"palladium_env\": {";
+    const auto env = PalladiumEnv();
+    for (auto it = env.begin(); it != env.end(); ++it) {
+      out << (it == env.begin() ? "" : ", ") << Quote(it->first) << ": " << Quote(it->second);
+    }
+    out << "}\n  },\n  \"metrics\": {\n";
     for (size_t i = 0; i < metrics_.size(); ++i) {
       out << "    \"" << metrics_[i].first << "\": " << metrics_[i].second
           << (i + 1 < metrics_.size() ? "," : "") << "\n";
@@ -65,6 +82,44 @@ class BenchJson {
   }
 
  private:
+  static std::string Quote(const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') {
+        out += '\\';
+        out += c;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      } else {
+        out += c;
+      }
+    }
+    return out + "\"";
+  }
+  static std::string Compiler() {
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
+  }
+  // Every PALLADIUM_* environment variable that is set: the knobs the run
+  // was made under.
+  static std::map<std::string, std::string> PalladiumEnv() {
+    std::map<std::string, std::string> knobs;
+    for (char** e = environ; *e != nullptr; ++e) {
+      const std::string kv = *e;
+      if (kv.compare(0, 10, "PALLADIUM_") != 0) continue;
+      const size_t eq = kv.find('=');
+      knobs[kv.substr(0, eq)] = eq == std::string::npos ? "" : kv.substr(eq + 1);
+    }
+    return knobs;
+  }
+
   std::string name_;
   std::vector<std::pair<std::string, std::string>> metrics_;
 };

@@ -2,9 +2,12 @@
 #ifndef SRC_HW_PHYSICAL_MEMORY_H_
 #define SRC_HW_PHYSICAL_MEMORY_H_
 
+#include <sys/mman.h>
+
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -76,11 +79,22 @@ class PhysicalMemory {
     }
   };
 
-  explicit PhysicalMemory(u32 size_bytes) : bytes_(size_bytes, 0) {
+  // The bytes live in a private anonymous host mapping, not a zero-filled
+  // buffer: the host kernel backs a page with its shared zero page until the
+  // simulation first writes it, so a machine costs host time and resident
+  // memory only for the guest RAM it touches. Reads of untouched bytes see
+  // zero, exactly as a zero-filled buffer would.
+  explicit PhysicalMemory(u32 size_bytes) : size_(size_bytes) {
+    void* p = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    bytes_ = static_cast<u8*>(p);
     for (auto& slot : observers_) slot.store(nullptr, std::memory_order_relaxed);
   }
+  ~PhysicalMemory() { munmap(bytes_, size_); }
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  u32 size() const { return static_cast<u32>(bytes_.size()); }
+  u32 size() const { return size_; }
 
   void AddWriteObserver(WriteObserver* observer) {
     const u32 n = observer_count_.load(std::memory_order_relaxed);
@@ -129,7 +143,7 @@ class PhysicalMemory {
   }
 
   bool Contains(u32 addr, u32 len) const {
-    return addr < bytes_.size() && len <= bytes_.size() - addr;
+    return addr < size_ && len <= size_ - addr;
   }
 
   // All accessors return false (and leave *out untouched / memory unmodified)
@@ -176,10 +190,10 @@ class PhysicalMemory {
   // pointer MUST be followed by NotifyWrite for the touched range, or the
   // decode cache would miss self-modifying stores.
   u8* FrameHostPtr(u32 frame) {
-    return Contains(frame, kPageSize) ? bytes_.data() + frame : nullptr;
+    return Contains(frame, kPageSize) ? bytes_ + frame : nullptr;
   }
   // Read-only view of all of physical memory (diff harnesses, dumps).
-  const u8* HostData() const { return bytes_.data(); }
+  const u8* HostData() const { return bytes_; }
 
   // Fires the write observer for bytes mutated through FrameHostPtr.
   void NotifyWrite(u32 addr, u32 len) { Notify(addr, len); }
@@ -218,7 +232,8 @@ class PhysicalMemory {
     }
   }
 
-  std::vector<u8> bytes_;
+  u32 size_;
+  u8* bytes_;
   std::array<std::atomic<WriteObserver*>, kMaxObservers> observers_;
   std::atomic<u32> observer_count_{0};
   inline static thread_local WriteLane* active_lane_ = nullptr;

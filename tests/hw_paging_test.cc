@@ -1,6 +1,9 @@
 // Page-table walker and editor tests, including the page-privilege (PPL)
 // semantics Palladium's user-level mechanism depends on.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 #include "src/hw/paging.h"
 #include "src/hw/physical_memory.h"
@@ -138,6 +141,53 @@ TEST_F(PagingTest, DistinctAddressSpaces) {
   // The second address space has no such mapping.
   WalkResult r = WalkPageTable(pm_, other_cr3, 0x9000, false, false);
   EXPECT_FALSE(r.ok);
+}
+
+// Resident set size of this process in bytes, from /proc/self/statm.
+u64 ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long total_pages = 0, resident_pages = 0;
+  const int n = std::fscanf(f, "%lu %lu", &total_pages, &resident_pages);
+  std::fclose(f);
+  return n == 2 ? static_cast<u64>(resident_pages) * sysconf(_SC_PAGESIZE) : 0;
+}
+
+// Guest RAM is a lazily-zeroed host mapping: a 1 GiB machine reads zero
+// everywhere, keeps its bounds checks, and costs resident memory only for
+// the pages the simulation writes.
+TEST(PhysicalMemoryTest, LargeMemoryIsLazyZeroAndBoundsChecked) {
+  constexpr u32 kSize = 1u << 30;
+  const u64 rss_before = ResidentBytes();
+  ASSERT_GT(rss_before, 0u);
+  PhysicalMemory pm(kSize);
+  ASSERT_EQ(pm.size(), kSize);
+
+  u8 b = 0xAA;
+  ASSERT_TRUE(pm.Read8(0, &b));
+  EXPECT_EQ(b, 0);
+  b = 0xAA;
+  ASSERT_TRUE(pm.Read8(kSize - 1, &b));
+  EXPECT_EQ(b, 0);
+  const u32 top_frame = kSize - kPageSize;
+  const u8* top = pm.FrameHostPtr(top_frame);
+  ASSERT_NE(top, nullptr);
+  for (u32 i = 0; i < kPageSize; ++i) ASSERT_EQ(top[i], 0) << "byte " << i;
+
+  EXPECT_TRUE(pm.Contains(kSize - 1, 1));
+  EXPECT_FALSE(pm.Contains(kSize, 1));
+  b = 0xAA;
+  EXPECT_FALSE(pm.Read8(kSize, &b));
+  EXPECT_EQ(b, 0xAA);
+  EXPECT_EQ(pm.FrameHostPtr(kSize), nullptr);
+
+  ASSERT_TRUE(pm.Write8(top_frame + 7, 0x5C));
+  ASSERT_TRUE(pm.Read8(top_frame + 7, &b));
+  EXPECT_EQ(b, 0x5C);
+  // A zero-filled buffer would make all 1 GiB resident here.
+  const u64 rss_after = ResidentBytes();
+  EXPECT_LT(rss_after, rss_before + (64ull << 20))
+      << "resident " << (rss_before >> 20) << " MiB -> " << (rss_after >> 20) << " MiB";
 }
 
 }  // namespace

@@ -19,24 +19,35 @@ and host-parallel SMP (name ending in `_threaded`) — the gate checks:
     keeps the ratio, so only a genuine engine regression (ratio collapse)
     fails the gate.
 
+A `_threaded` row's speed and its threaded/interleaved ratio depend on how
+many host cores run the vCPU threads, so every `_threaded` line prints both
+files' `context.num_cpus`, and the row fails outright ("re-record") when
+they differ: a ratio recorded on another core count says nothing about
+this run.
+
 Aggregate entries (`_median` etc.) are preferred when present so
 `--benchmark_repetitions` runs gate on the median.
 
-BenchJson dataplane output (a "metrics" object carrying
-"dataplane_packets_per_sec" or "requests_per_sec"): the gate checks the
-simulated packet/request rate against the committed baseline with
-`tolerance` slack (default 0.10, env PALLADIUM_BENCH_PPS_TOLERANCE) —
-the rate is simulated cycles per packet, so it is machine-independent and
-the tolerance only absorbs scheduling nondeterminism — and requires
-"queue_full_drops" to be no worse than the baseline's.
+BenchJson output (a "metrics" object). Simulated metrics are deterministic:
+rerunning a bench reproduces them exactly. So every key that both files
+carry and whose name does not start with `host_` must be *equal*; the gate
+fails on any difference and prints the first few differing keys. `host_*`
+keys are host wall-clock measurements and are not compared. On top of
+the exact check:
 
-BenchJson protection output (a "metrics" object carrying
-"palladium_cycles_per_invocation"): the gate checks the protection
-overhead *ratio* — Palladium cycles/invocation over unprotected
-cycles/invocation, both simulated and machine-independent — against the
-committed baseline with `tolerance` slack (default 0.10, env
-PALLADIUM_BENCH_PROT_TOLERANCE), and requires the live-upgrade scenario
-to have dropped zero frames ("upgrade_dropped_frames" == 0).
+ - dataplane output (carrying "dataplane_packets_per_sec" or
+   "requests_per_sec"): the simulated packet/request rate against the
+   committed baseline with `tolerance` slack (default 0.10, env
+   PALLADIUM_BENCH_PPS_TOLERANCE), and "queue_full_drops" no worse than
+   the baseline's;
+ - protection output (carrying "palladium_cycles_per_invocation"): the
+   protection overhead *ratio* — Palladium cycles/invocation over
+   unprotected cycles/invocation — against the committed baseline with
+   `tolerance` slack (default 0.10, env PALLADIUM_BENCH_PROT_TOLERANCE),
+   and zero frames dropped by the live upgrade ("upgrade_dropped_frames").
+
+These headline checks name what regressed in domain terms; the exact check
+is what catches a change smaller than their tolerance.
 """
 import json
 import os
@@ -118,6 +129,29 @@ def report_fresh_only(name, base_m, fresh_m):
               f"baseline yet (not gated): {preview}{more}")
 
 
+# How many differing simulated keys the exact gate prints.
+EXACT_DIFF_PREVIEW = 5
+
+
+def check_simulated_exact(name, base_m, fresh_m):
+    """Fails (returns True) if a simulated key both files carry differs."""
+    shared = sorted(k for k in set(base_m) & set(fresh_m) if not k.startswith("host_"))
+    differing = [k for k in shared if base_m[k] != fresh_m[k]]
+    if not differing:
+        print(f"{name}: all {len(shared)} shared simulated metrics equal the "
+              f"baseline exactly ok")
+        return False
+    print(f"{name}: {len(differing)} of {len(shared)} shared simulated "
+          f"metrics differ from the baseline FAIL (simulated metrics are "
+          f"deterministic: regenerate the baseline and state the cause in "
+          f"CHANGES.md if the change is intended)")
+    for k in differing[:EXACT_DIFF_PREVIEW]:
+        print(f"  {k}: baseline {base_m[k]} -> fresh {fresh_m[k]}")
+    if len(differing) > EXACT_DIFF_PREVIEW:
+        print(f"  ... ({len(differing) - EXACT_DIFF_PREVIEW} more)")
+    return True
+
+
 def check_protection(baseline_data, fresh_data, argv_tolerance):
     tolerance = float(
         argv_tolerance if argv_tolerance is not None
@@ -167,9 +201,7 @@ def check_protection(baseline_data, fresh_data, argv_tolerance):
     return 1 if failed else 0
 
 
-def sim_mips(path):
-    with open(path) as f:
-        data = json.load(f)
+def sim_mips(data):
     plain = {}
     median = {}
     for bench in data.get("benchmarks", []):
@@ -226,14 +258,21 @@ def main():
                   f"other does not)")
             return 1
         argv_tol = sys.argv[3] if len(sys.argv) > 3 else None
+        name = baseline_data.get("bench", "metrics")
         if "palladium_cycles_per_invocation" in baseline_data["metrics"]:
-            return check_protection(baseline_data, fresh_data, argv_tol)
-        return check_dataplane(baseline_data, fresh_data, argv_tol)
+            rc = check_protection(baseline_data, fresh_data, argv_tol)
+        else:
+            rc = check_dataplane(baseline_data, fresh_data, argv_tol)
+        if check_simulated_exact(name, baseline_data["metrics"], fresh_data["metrics"]):
+            rc = 1
+        return rc
     tolerance = float(
         sys.argv[3] if len(sys.argv) > 3
         else os.environ.get("PALLADIUM_BENCH_MIPS_TOLERANCE", "0.20"))
-    baseline = sim_mips(baseline_path)
-    fresh = sim_mips(fresh_path)
+    baseline = sim_mips(baseline_data)
+    fresh = sim_mips(fresh_data)
+    base_cpus = baseline_data.get("context", {}).get("num_cpus")
+    fresh_cpus = fresh_data.get("context", {}).get("num_cpus")
     gated_names = sorted(n for n in baseline if gated_suffix(n))
     if not gated_names:
         print(f"FAIL: no block-engine or threaded benchmarks in baseline "
@@ -252,6 +291,15 @@ def main():
             continue
         abs_ratio = got / base if base else float("inf")
         line = f"{name}: baseline {base:.1f} -> fresh {got:.1f} sim-MIPS ({abs_ratio:.2f}x)"
+        if engine == "threaded":
+            line += f" [num_cpus: baseline {base_cpus} -> fresh {fresh_cpus}]"
+            if base_cpus != fresh_cpus:
+                # Threaded speed scales with host cores: neither the absolute
+                # value nor the paired ratio carries across core counts.
+                print(f"{line} FAIL (baseline recorded on {base_cpus} cores, "
+                      f"this run has {fresh_cpus}: re-record)")
+                failed = True
+                continue
         if got >= base * (1.0 - tolerance):
             print(f"{line} ok")
             continue
